@@ -1,5 +1,5 @@
 PY ?= python3
-CLI ?= fracstab
+CLI ?= PYTHONPATH=src $(PY) -m fracstab.cli
 EXAMPLES := 1 2 3 4 5 6 7
 
 .PHONY: test golden ops

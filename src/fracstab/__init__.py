@@ -29,8 +29,6 @@ from .psi_space import (
     Mesh,
     PsiMap,
     build_mesh,
-    psi_eval,
-    weighted_norm,
 )
 from .rhs_expr import (
     evaluate,

@@ -36,7 +36,7 @@ from .errors import (
     SchemaError,
 )
 from .fraccalc import FracIntegralOperator, run_operator_checks
-from .psi_space import FracOrder, PsiMap, build_mesh
+from .psi_space import PSI_KINDS, FracOrder, PsiMap, build_mesh
 from .rhs_expr import Expr, RESERVED_NAMES, free_variables, parse_expression
 from .solver import (
     CauchyProblem,
@@ -65,7 +65,6 @@ _TOP_KEYS = {
     "lipschitz", "phi", "lambda_phi", "parameters",
 }
 _REQUIRED_KEYS = ("psi", "alpha", "beta", "a", "T", "y_a", "rhs")
-_PSI_KINDS = ("identity", "logarithm", "power")
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,8 @@ def problem_from_dict(data) -> ProblemFile:
         if key not in ("kind", "rho"):
             raise SchemaError(f"psi.{key}", "unknown key")
     kind = raw_psi.get("kind")
-    if kind not in _PSI_KINDS:
-        raise SchemaError("psi.kind", f"expected one of {_PSI_KINDS}")
+    if kind not in PSI_KINDS:
+        raise SchemaError("psi.kind", f"expected one of {PSI_KINDS}")
     rho = _number(raw_psi["rho"], "psi.rho") if "rho" in raw_psi else 1.0
     try:
         psi = PsiMap(kind, rho)
@@ -305,7 +304,7 @@ def solution_to_csv(sol: Solution, p: CauchyProblem) -> str:
     """
     mesh = sol.y.mesh
     w = p.order.weight
-    dx = mesh.psi_nodes - mesh.psi_nodes[0]
+    dx = mesh.offsets
     lines = ["t,psi_t,g,y_weighted,y,limit_flag"]
     for i in range(mesh.n + 1):
         if w > 0.0 and i > 0:
@@ -433,7 +432,7 @@ _PSI_ALIASES = {
 
 def cmd_verify_ops(args) -> int:
     if args.psi is None:
-        families = ("identity", "logarithm", "power")
+        families = PSI_KINDS
     else:
         families = (_PSI_ALIASES[args.psi],)
     try:

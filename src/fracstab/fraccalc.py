@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ConvergenceError, DomainError
-from .psi_space import FracOrder, GridFunction, Mesh, build_mesh
+from .psi_space import FracOrder, GridFunction, Mesh, PsiMap, build_mesh
 from .specfun import gamma_fn, log_gamma, mittag_leffler_many
 
 __all__ = [
@@ -53,65 +53,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # incomplete beta (needed by the singular first cell)
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # Lentz evaluation of the standard continued fraction.
-    max_it = 300
-    eps = 3e-16
-    fpmin = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_it + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ConvergenceError(f"incomplete beta fraction stalled at ({a!r}, {b!r}, {x!r})")
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (
-        log_gamma(a + b)
-        - log_gamma(a)
-        - log_gamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
-def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
+def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
     # vectorized Lentz over an array of abscissae, scalar parameters
     max_it = 300
     eps = 3e-16
@@ -148,7 +90,7 @@ def _betacf_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"incomplete beta fraction stalled at ({a!r}, {b!r})")
 
 
-def _reg_inc_beta_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
+def _regularized_beta(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Vectorised regularised incomplete beta, scalar parameters."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -163,12 +105,17 @@ def _reg_inc_beta_many(a: float, b: float, x: np.ndarray) -> np.ndarray:
     res = np.empty_like(xm)
     direct = xm < (a + 1.0) / (a + b + 2.0)
     if np.any(direct):
-        res[direct] = bt[direct] * _betacf_many(a, b, xm[direct]) / a
+        res[direct] = bt[direct] * _beta_fraction(a, b, xm[direct]) / a
     other = ~direct
     if np.any(other):
-        res[other] = 1.0 - bt[other] * _betacf_many(b, a, 1.0 - xm[other]) / b
+        res[other] = 1.0 - bt[other] * _beta_fraction(b, a, 1.0 - xm[other]) / b
     out[mid] = res
     return out
+
+
+def _lower_beta_many(p: float, q: float, theta: np.ndarray) -> np.ndarray:
+    full = math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
+    return full * _regularized_beta(p, q, theta)
 
 
 def inc_beta_lower(p: float, q: float, theta: float) -> float:
@@ -177,15 +124,7 @@ def inc_beta_lower(p: float, q: float, theta: float) -> float:
         raise DomainError(f"inc_beta_lower requires p, q > 0, got ({p!r}, {q!r})")
     if not (0.0 <= theta <= 1.0):
         raise DomainError(f"inc_beta_lower requires theta in [0, 1], got {theta!r}")
-    full = gamma_fn(p) * gamma_fn(q) / gamma_fn(p + q)
-    if theta >= 1.0:
-        return full
-    return full * _reg_inc_beta(p, q, theta)
-
-
-def _lower_beta_many(p: float, q: float, theta: np.ndarray) -> np.ndarray:
-    full = math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
-    return full * _reg_inc_beta_many(p, q, theta)
+    return float(_lower_beta_many(p, q, np.asarray(float(theta))))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +162,9 @@ class FracIntegralOperator:
         hit = self._weighted_tables.get(key)
         if hit is not None:
             return hit
-        X = self.mesh.psi_nodes
         n = self.mesh.n
         alpha = self.alpha
-        dx = X - X[0]
+        dx = self.mesh.offsets
         rows = np.arange(n + 1)[:, None]
         ks = np.arange(n + 1)[None, :]
         safe_X = np.where(dx > 0.0, dx, 1.0)[:, None]
@@ -272,7 +210,6 @@ class FracIntegralOperator:
         # weighted data: underlying u = (x - x0)**(g-1) * stored, g = 1 - w
         gamma_u = 1.0 - u.weight_exp
         gamma_out = gamma_u + self.alpha
-        dx = self.mesh.psi_nodes - self.mesh.psi_nodes[0]
         out = _matvec(self._weighted_table(gamma_u), u.values)
         limit0 = gamma_fn(gamma_u) * u.values[0] / gamma_fn(gamma_out)
         if gamma_out > 1.0 + 1e-12:
@@ -281,7 +218,7 @@ class FracIntegralOperator:
         if gamma_out >= 1.0 - 1e-12:
             out[0] = limit0
             return GridFunction(self.mesh, out, 0.0)
-        out[1:] *= np.power(dx[1:], 1.0 - gamma_out)
+        out[1:] *= np.power(self.mesh.offsets[1:], 1.0 - gamma_out)
         out[0] = limit0
         return GridFunction(self.mesh, out, 1.0 - gamma_out)
 
@@ -316,7 +253,7 @@ def _pow_diff(B: np.ndarray, A: np.ndarray, p: float) -> np.ndarray:
 
 
 def _build_weight_table(mesh: Mesh, alpha: float):
-    X = mesh.psi_nodes
+    X = mesh.offsets
     n = mesh.n
     left = X[:-1]
     right = X[1:]
@@ -351,7 +288,7 @@ def frac_integral(u: GridFunction, alpha: float) -> GridFunction:
 
 def _dx_transformed(mesh: Mesh, v: np.ndarray) -> np.ndarray:
     """First derivative with respect to psi(t): three-point stencils."""
-    x = mesh.psi_nodes
+    x = mesh.offsets
     n = mesh.n
     if n < 2:
         raise ContractError("derivative stencils need at least 3 nodes")
@@ -420,7 +357,7 @@ _EDGE_TRIM = 0.05
 
 
 def _interior_lo(mesh: Mesh, trim: float) -> int:
-    dx = mesh.psi_nodes - mesh.psi_nodes[0]
+    dx = mesh.offsets
     lo = int(np.searchsorted(dx, trim * dx[-1]))
     return max(lo, 1)
 
@@ -428,7 +365,7 @@ def _interior_lo(mesh: Mesh, trim: float) -> int:
 def _weighted_residual_max(
     mesh: Mesh, res: np.ndarray, order: FracOrder, trim: float = _EDGE_TRIM
 ) -> float:
-    dx = mesh.psi_nodes - mesh.psi_nodes[0]
+    dx = mesh.offsets
     w = order.weight
     sl = slice(_interior_lo(mesh, trim), None)
     if w == 0.0:
@@ -452,7 +389,7 @@ def integrate_derivative_residual(u: GridFunction, order: FracOrder) -> float:
     hd = hilfer_derivative(u, order)
     lhs = FracIntegralOperator(mesh, order.alpha).apply(hd).values
     g = order.gamma
-    dx = mesh.psi_nodes - mesh.psi_nodes[0]
+    dx = mesh.offsets
     if u.weight_exp != 0.0:
         # both sides carry the weight already
         res_w = np.zeros_like(lhs)
@@ -538,7 +475,7 @@ def gronwall_bound(v: GridFunction, g: GridFunction, alpha: float) -> GridFuncti
     if np.any(np.diff(gv) < -tol_mono):
         raise DomainError("gronwall_bound requires nondecreasing g")
     mesh = v.mesh
-    dx = mesh.psi_nodes - mesh.psi_nodes[0]
+    dx = mesh.offsets
     ga = gamma_fn(alpha)
 
     v_mono_tol = 1e-14 * max(1.0, float(np.max(np.abs(v.values))))
@@ -650,13 +587,11 @@ def run_operator_checks(
         if fam not in _FAMILY_SETUPS:
             raise DomainError(f"unknown family {fam!r}")
         kind, rho, a, T = _FAMILY_SETUPS[fam]
-        from .psi_space import PsiMap
-
         psi = PsiMap(kind, rho)
         per_check: dict[str, list[float]] = {}
         for n in n_list:
             mesh = build_mesh(psi, a, T, n, grading)
-            dx = mesh.psi_nodes - mesh.psi_nodes[0]
+            dx = mesh.offsets
 
             op = FracIntegralOperator(mesh, ga)
             exact_rows = np.power(dx, ga) / gamma_fn(ga + 1.0)

@@ -22,12 +22,11 @@ __all__ = [
     "FracOrder",
     "Mesh",
     "GridFunction",
-    "psi_eval",
     "build_mesh",
-    "weighted_norm",
+    "PSI_KINDS",
 ]
 
-_PSI_KINDS = ("identity", "logarithm", "power")
+PSI_KINDS = ("identity", "logarithm", "power")
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,9 @@ class PsiMap:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _PSI_KINDS:
+        if self.kind not in PSI_KINDS:
             raise DomainError(
-                f"unknown psi kind {self.kind!r}; expected one of {_PSI_KINDS}"
+                f"unknown psi kind {self.kind!r}; expected one of {PSI_KINDS}"
             )
         if self.kind == "power" and not (
             math.isfinite(self.rho) and self.rho > 0.0
@@ -68,22 +67,6 @@ class PsiMap:
         out = np.power(arr, self.rho)
         return out if isinstance(t, np.ndarray) else float(out)
 
-    def deriv(self, t):
-        """psi'(t); positive on the interior of the admissible domain."""
-        if self.kind == "identity":
-            return np.ones_like(np.asarray(t, dtype=float)) if isinstance(t, np.ndarray) else 1.0
-        if self.kind == "logarithm":
-            arr = np.asarray(t, dtype=float)
-            if np.any(arr <= 0.0):
-                raise DomainError("logarithm map requires t > 0")
-            out = 1.0 / arr
-            return out if isinstance(t, np.ndarray) else float(out)
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0.0):
-            raise DomainError("power map requires t >= 0")
-        out = self.rho * np.power(arr, self.rho - 1.0)
-        return out if isinstance(t, np.ndarray) else float(out)
-
     def inverse(self, x):
         """Inverse map, x -> t."""
         if self.kind == "identity":
@@ -93,11 +76,6 @@ class PsiMap:
         if isinstance(x, np.ndarray):
             return np.power(x, 1.0 / self.rho)
         return math.pow(x, 1.0 / self.rho)
-
-
-def psi_eval(psi: PsiMap, t: float) -> tuple[float, float]:
-    """Return the pair ``(psi(t), psi'(t))``."""
-    return psi.value(t), psi.deriv(t)
 
 
 @dataclass(frozen=True)
@@ -132,9 +110,13 @@ class FracOrder:
 class Mesh:
     """Graded mesh on ``[a, T]``, built in the transformed coordinate.
 
-    ``psi_nodes[j] = psi(a) + (psi(T) - psi(a)) * (j/n)**grading``; the
-    physical nodes are the pullbacks.  ``grading = 1`` is uniform in the
-    transformed coordinate; larger gradings cluster nodes near ``a``.
+    ``offsets[j] = (psi(T) - psi(a)) * (j/n)**grading`` is the distance
+    ``psi(t_j) - psi(a)`` that every kernel, weight and norm reads; it is
+    stored directly because subtracting ``psi(a)`` back out of
+    ``psi_nodes[j] = psi(a) + offsets[j]`` cancels catastrophically next to
+    ``a`` when ``psi(a)`` is large.  The physical nodes are the pullbacks.
+    ``grading = 1`` is uniform in the transformed coordinate; larger
+    gradings cluster nodes near ``a``.
     """
 
     psi: PsiMap
@@ -144,6 +126,7 @@ class Mesh:
     grading: float
     nodes: np.ndarray = field(repr=False)
     psi_nodes: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -184,19 +167,22 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
         raise DomainError(f"grading must be >= 1, got {grading!r}")
     xa = psi.value(a)
     xT = psi.value(T)
-    frac = np.power(np.arange(n + 1, dtype=float) / n, grading)
-    psi_nodes = xa + (xT - xa) * frac
+    offsets = (xT - xa) * np.power(np.arange(n + 1, dtype=float) / n, grading)
+    offsets[-1] = xT - xa
+    psi_nodes = xa + offsets
     nodes = np.empty(n + 1, dtype=float)
     nodes[0] = a
     nodes[-1] = T
     if n > 1:
         nodes[1:-1] = psi.inverse(psi_nodes[1:-1])
-    psi_nodes = psi_nodes.copy()
     psi_nodes[0] = xa
     psi_nodes[-1] = xT
-    nodes.setflags(write=False)
-    psi_nodes.setflags(write=False)
-    return Mesh(psi=psi, a=a, T=T, n=n, grading=float(grading), nodes=nodes, psi_nodes=psi_nodes)
+    for arr in (nodes, psi_nodes, offsets):
+        arr.setflags(write=False)
+    return Mesh(
+        psi=psi, a=a, T=T, n=n, grading=float(grading),
+        nodes=nodes, psi_nodes=psi_nodes, offsets=offsets,
+    )
 
 
 @dataclass(frozen=True)
@@ -229,27 +215,3 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.mesh, values, self.weight_exp)
-
-
-def weighted_norm(u: GridFunction, order: FracOrder) -> float:
-    """Sup norm of ``(psi(t) - psi(a))**(1-gamma) * u(t)`` over the mesh.
-
-    Plain data (``weight_exp = 0``) is weighted on the fly; data already
-    stored with exponent ``1 - gamma`` is read off directly.  With plain
-    data and ``gamma < 1`` the node at ``t = a`` is excluded from the max,
-    since the weight vanishes there.
-    """
-    w = order.weight
-    if abs(u.weight_exp - w) <= 1e-12:
-        return float(np.max(np.abs(u.values)))
-    if u.weight_exp != 0.0:
-        raise ContractError(
-            f"weight_exp {u.weight_exp!r} matches neither 0 nor 1-gamma = {w!r}"
-        )
-    if w == 0.0:
-        return float(np.max(np.abs(u.values)))
-    dx = u.mesh.psi_nodes - u.mesh.psi_nodes[0]
-    scaled = np.power(dx[1:], w) * np.abs(u.values[1:])
-    return float(np.max(scaled))

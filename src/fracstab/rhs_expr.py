@@ -32,13 +32,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .specfun import (
-    erf_fn,
-    gamma_fn,
-    gamma_many,
-    mittag_leffler,
-    mittag_leffler_many,
-)
+from .specfun import erf_fn, gamma_fn, mittag_leffler_many
 
 __all__ = [
     "Num",
@@ -353,24 +347,23 @@ def _eval_call(node: Call, env: dict):
         if name == "abs":
             return np.abs(arg)
         if name == "erf":
-            if np.ndim(arg):
-                return np.array([erf_fn(float(z)) for z in np.ravel(arg)]).reshape(np.shape(arg))
-            return erf_fn(float(arg))
+            return _elementwise(erf_fn, arg)
         if name == "gamma":
             try:
-                if np.ndim(arg):
-                    return gamma_many(arg)
-                return gamma_fn(float(arg))
+                return _elementwise(gamma_fn, arg)
             except DomainError as exc:
                 raise EvaluationError(str(exc), _first_bad_t(env, True)) from exc
         # E(mu, z); mu was folded to a literal while parsing
-        mu = node.args[0].value
         try:
-            if np.ndim(arg):
-                return mittag_leffler_many(mu, arg)
-            return mittag_leffler(mu, float(arg))
+            return mittag_leffler_many(node.args[0].value, arg)
         except (DomainError, RangeError, ConvergenceError) as exc:
             raise EvaluationError(str(exc), _first_bad_t(env, True)) from exc
+
+
+def _elementwise(fn, arg) -> np.ndarray:
+    """A scalar special function applied to every entry of ``arg``."""
+    arr = np.asarray(arg, dtype=float)
+    return np.array([fn(float(z)) for z in arr.ravel()]).reshape(arr.shape)
 
 
 def evaluate(expr: Expr, t, y=0.0, d=0.0):

@@ -200,8 +200,7 @@ def _seed_g(
         if forcing is not None:
             vals = vals + forcing
         return _as_nodes(vals, mesh.n + 1)
-    dx = mesh.psi_nodes - mesh.psi_nodes[0]
-    y_plain = pref * np.power(dx[1:], gamma - 1.0)
+    y_plain = pref * np.power(mesh.offsets[1:], gamma - 1.0)
     vals = evaluate(p.rhs, t[1:], y_plain, np.zeros(mesh.n))
     if forcing is not None:
         vals = vals + forcing[1:]
@@ -223,7 +222,7 @@ def _lift_weighted(
     out = np.empty(mesh.n + 1)
     out[1:] = dxw[1:] * plain_tail
     if mesh.n >= 2:
-        x = mesh.psi_nodes
+        x = mesh.offsets
         slope = (out[2] - out[1]) / (x[2] - x[1])
         out[0] = out[1] + slope * (x[0] - x[1])
     else:
@@ -271,9 +270,8 @@ def picard_solve(
     gamma = p.order.gamma
     w = p.order.weight
     t = mesh.nodes
-    dx = mesh.psi_nodes - mesh.psi_nodes[0]
-    dxw = np.power(dx, w)  # 0**0 == 1 covers the gamma == 1 case
-    dxg = np.power(dx[1:], gamma - 1.0) if w > 0.0 else None
+    dxw = np.power(mesh.offsets, w)  # 0**0 == 1 covers the gamma == 1 case
+    dxg = np.power(mesh.offsets[1:], gamma - 1.0) if w > 0.0 else None
     pref = p.y_a / gamma_fn(gamma)
 
     try:
@@ -287,7 +285,7 @@ def picard_solve(
     g_hat = _seed_g(p, mesh, dxw, forcing)
     norms: list[float] = []
     for iteration in range(1, max_iter + 1):
-        y_hat = _reconstruct_y(op, mesh, g_hat, w, pref, dx)
+        y_hat = _reconstruct_y(op, mesh, g_hat, w, pref)
         if w == 0.0:
             vals = evaluate(p.rhs, t, y_hat, g_hat)
             if forcing is not None:
@@ -306,7 +304,7 @@ def picard_solve(
         norms.append(update)
         g_hat = g_next
         if update <= tol:
-            y_hat = _reconstruct_y(op, mesh, g_hat, w, pref, dx)
+            y_hat = _reconstruct_y(op, mesh, g_hat, w, pref)
             bound = None
             if factor is not None and factor < 1.0:
                 bound = update * factor / (1.0 - factor)
@@ -328,7 +326,6 @@ def _reconstruct_y(
     g_hat: np.ndarray,
     w: float,
     pref: float,
-    dx: np.ndarray,
 ) -> np.ndarray:
     """Stored values of y = prefactor + I^alpha g, in the problem's weighting.
 
@@ -339,9 +336,9 @@ def _reconstruct_y(
     """
     integral = op.apply(GridFunction(mesh, g_hat, w))
     if integral.weight_exp == 0.0:
-        scale = np.power(dx, w)
+        scale = np.power(mesh.offsets, w)
     else:
-        scale = np.power(dx, op.alpha)
+        scale = np.power(mesh.offsets, op.alpha)
         scale[0] = 0.0
     out = pref + scale * integral.values
     if w > 0.0:
@@ -410,9 +407,8 @@ def _default_box(
         sol = picard_solve(p, mesh, tol=1e-8, max_iter=80)
         y_vals, g_vals = _plain_tail(sol.y), _plain_tail(sol.g)
     except (NonConvergenceError, DomainError, EvaluationError):
-        dx = mesh.psi_nodes - mesh.psi_nodes[0]
         gamma = p.order.gamma
-        y_vals = p.y_a / gamma_fn(gamma) * np.power(dx[1:], gamma - 1.0)
+        y_vals = p.y_a / gamma_fn(gamma) * np.power(mesh.offsets[1:], gamma - 1.0)
         g_vals = np.zeros_like(y_vals)
     return _pad_range(y_vals), _pad_range(g_vals)
 
@@ -421,8 +417,7 @@ def _plain_tail(u: GridFunction) -> np.ndarray:
     """Plain values at the nodes past t = a, whatever the stored form."""
     if u.weight_exp == 0.0:
         return u.values[1:]
-    dx = u.mesh.psi_nodes[1:] - u.mesh.psi_nodes[0]
-    return u.values[1:] * np.power(dx, -u.weight_exp)
+    return u.values[1:] * np.power(u.mesh.offsets[1:], -u.weight_exp)
 
 
 def _pad_range(vals: np.ndarray) -> tuple[float, float]:

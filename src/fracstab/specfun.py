@@ -1,4 +1,4 @@
-"""Scalar special functions: gamma, error function, one-parameter Mittag-Leffler.
+"""Special functions: gamma, error function, one-parameter Mittag-Leffler.
 
 All three are evaluated from scratch in double precision:
 
@@ -6,9 +6,14 @@ All three are evaluated from scratch in double precision:
   axis, accurate to better than 1e-12 relative over ``(0, 170]``.
 * ``erf_fn`` switches between the Maclaurin series (small arguments) and a
   Lentz-evaluated continued fraction for the complementary function.
-* ``mittag_leffler`` sums the defining power series with compensated
-  (Kahan) accumulation and a two-consecutive-term truncation rule
-  controlled by :class:`MlEvalPolicy`.
+* ``mittag_leffler_many`` sums the defining power series over a whole array
+  at once, with compensated (Kahan) accumulation and a
+  two-consecutive-term truncation rule controlled by :class:`MlEvalPolicy`.
+  It refuses alternating sums that cancel below eight correct digits.
+  ``mittag_leffler`` is the same series at a single argument.
+
+``gamma_fn`` and ``erf_fn`` are scalar; expression evaluation maps them over
+arrays entry by entry, so every caller gets the same ``math``-library bits.
 
 A closed form worth knowing for testing: for index one half,
 ``E(z) = exp(z**2) * (1 + erf(z))``.
@@ -60,7 +65,7 @@ _GAMMA_DIRECT_LIMIT = 140.0
 
 
 def _lanczos_sum(x):
-    """Rational part of the Lanczos formula at x (scalar or ndarray)."""
+    """Rational part of the Lanczos formula at x."""
     acc = _LANCZOS_COEF[0]
     for k in range(1, len(_LANCZOS_COEF)):
         acc = acc + _LANCZOS_COEF[k] / (x - 1.0 + k)
@@ -109,26 +114,6 @@ def log_gamma(x: float) -> float:
         - t
         + math.log(_lanczos_sum(x))
     )
-
-
-def gamma_many(x: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`gamma_fn` for arrays of positive abscissae."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise DomainError("gamma_many requires finite entries > 0")
-    if np.any(x > _GAMMA_OVERFLOW):
-        raise DomainError("gamma_many: an entry overflows double precision")
-    tiny = x < 0.5
-    xs = np.where(tiny, x + 1.0, x)
-    t = xs + _LANCZOS_G - 0.5
-    a = _lanczos_sum(xs)
-    small = xs <= _GAMMA_DIRECT_LIMIT
-    out = np.empty_like(t)
-    out[small] = _SQRT_TWO_PI * np.power(t[small], xs[small] - 0.5) * np.exp(-t[small]) * a[small]
-    big = ~small
-    out[big] = _SQRT_TWO_PI * a[big] * np.exp((xs[big] - 0.5) * np.log(t[big]) - t[big])
-    out[tiny] /= x[tiny]
-    return out
 
 
 def _erf_series(z: float) -> float:
@@ -214,123 +199,77 @@ class MlEvalPolicy:
 
 DEFAULT_ML_POLICY = MlEvalPolicy()
 
-# Term-by-term evaluation switches from direct gamma division to the
-# exp(log) form once the gamma argument passes this threshold.
+
+# The series switches from ``z**k / gamma(arg)`` to the overflow-safe
+# ``exp(k * log|z| - log_gamma(arg))`` once ``max|z|**k`` reaches the guard
+# or the gamma argument passes the threshold, whichever comes first.
 _DIRECT_GAMMA_ARG = 170.0
 _POWER_GUARD = 1e290
 
+# Rounding leaves an error of about ``2**-52 * sum |term|`` in the sum; an
+# alternating series (negative ``z``) whose error exceeds this fraction of
+# the result has fewer than eight digits left and is refused.
+_CANCELLATION_LIMIT = 1e-8
 
-def mittag_leffler(mu: float, z: float, policy: MlEvalPolicy = DEFAULT_ML_POLICY) -> float:
-    """One-parameter Mittag-Leffler function ``sum_k z**k / gamma(mu*k + 1)``.
 
-    Terms are accumulated with Kahan compensation, which keeps the
-    cancellation error of alternating sums (negative ``z``) at the level of
-    the working precision.  Truncation happens once the next-term magnitude
-    stays below ``policy.rel_tol`` times the running partial sum for two
-    consecutive terms.
+# overflow and log(0) are caught by the explicit finiteness checks
+@np.errstate(over="ignore", divide="ignore")
+def mittag_leffler_many(
+    mu: float, z: np.ndarray, policy: MlEvalPolicy = DEFAULT_ML_POLICY
+) -> np.ndarray:
+    """One-parameter Mittag-Leffler ``sum_k z**k / gamma(mu*k + 1)``, elementwise.
+
+    Terms are accumulated with Kahan compensation.  Truncation happens once
+    every element's next-term magnitude has stayed below ``policy.rel_tol``
+    times its running partial sum for two consecutive terms.
 
     Raises
     ------
     RangeError
-        If ``|z|`` exceeds ``policy.arg_bound``.
+        If some ``|z|`` exceeds ``policy.arg_bound``.
     ConvergenceError
-        If ``policy.max_terms`` terms do not reach the truncation rule, or
-        the partial sums leave double range.
+        If ``policy.max_terms`` terms do not reach the truncation rule, the
+        partial sums leave double range, or cancellation between the terms
+        of an alternating sum leaves fewer than eight correct digits.
     """
     mu = float(mu)
-    z = float(z)
     if not (math.isfinite(mu) and mu > 0.0):
         raise DomainError(f"mittag_leffler requires mu > 0, got {mu!r}")
-    if not math.isfinite(z):
-        raise DomainError(f"mittag_leffler requires finite z, got {z!r}")
-    if abs(z) > policy.arg_bound:
-        raise RangeError(
-            f"|z| = {abs(z)!r} exceeds the evaluation bound {policy.arg_bound!r}"
-        )
-    if z == 0.0:
-        return 1.0
-
-    log_az = math.log(abs(z))
-    total = 1.0  # k = 0 term
-    comp = 0.0
-    zpow = 1.0
-    zpow_ok = True
-    streak = 0
-    for k in range(1, policy.max_terms + 1):
-        if zpow_ok:
-            zpow *= z
-            if not (abs(zpow) < _POWER_GUARD):
-                zpow_ok = False
-        arg = mu * k + 1.0
-        if zpow_ok and arg <= _DIRECT_GAMMA_ARG:
-            term = zpow / gamma_fn(arg)
-        else:
-            try:
-                mag = math.exp(k * log_az - log_gamma(arg))
-            except OverflowError:
-                raise ConvergenceError(
-                    f"mittag_leffler({mu!r}, {z!r}) overflowed double precision"
-                ) from None
-            term = -mag if (z < 0.0 and k % 2 == 1) else mag
-        if not math.isfinite(term) or not math.isfinite(total):
-            raise ConvergenceError(
-                f"mittag_leffler({mu!r}, {z!r}) overflowed double precision"
-            )
-        if abs(term) <= policy.rel_tol * abs(total):
-            streak += 1
-        else:
-            streak = 0
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if streak >= 2:
-            if not math.isfinite(total):
-                raise ConvergenceError(
-                    f"mittag_leffler({mu!r}, {z!r}) overflowed double precision"
-                )
-            return total
-    raise ConvergenceError(
-        f"mittag_leffler({mu!r}, {z!r}) did not converge in {policy.max_terms} terms"
-    )
-
-
-def mittag_leffler_many(
-    mu: float, z: np.ndarray, policy: MlEvalPolicy = DEFAULT_ML_POLICY
-) -> np.ndarray:
-    """Elementwise Mittag-Leffler over an array, one shared index ``mu``.
-
-    Same series, same truncation rule as :func:`mittag_leffler`, run until
-    every element has satisfied the two-consecutive-term test.
-    """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise DomainError(f"mittag_leffler_many requires mu > 0, got {mu!r}")
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
-        raise DomainError("mittag_leffler_many requires finite entries")
-    if z.size and np.max(np.abs(z)) > policy.arg_bound:
+        raise DomainError("mittag_leffler requires finite arguments")
+    z_max = float(np.max(np.abs(z))) if z.size else 0.0
+    if z_max > policy.arg_bound:
         raise RangeError(
-            f"max |z| = {np.max(np.abs(z))!r} exceeds the evaluation bound "
-            f"{policy.arg_bound!r}"
+            f"max |z| = {z_max!r} exceeds the evaluation bound {policy.arg_bound!r}"
         )
 
-    total = np.ones_like(z)
+    total = np.ones_like(z)  # k = 0 term
     comp = np.zeros_like(z)
+    mass = np.ones_like(z)  # sum of |term|
     zpow = np.ones_like(z)
+    power_bound = 1.0  # max|z| ** k
+    log_az = None
     streak = np.zeros(z.shape, dtype=int)
     for k in range(1, policy.max_terms + 1):
-        zpow = zpow * z
         arg = mu * k + 1.0
-        if arg <= _DIRECT_GAMMA_ARG:
-            inv_gamma = 1.0 / gamma_fn(arg)
+        power_bound *= z_max
+        if log_az is None and (power_bound >= _POWER_GUARD or arg > _DIRECT_GAMMA_ARG):
+            log_az = np.log(np.abs(z))
+        if log_az is None:
+            zpow = zpow * z
+            term = zpow * (1.0 / gamma_fn(arg))
         else:
-            inv_gamma = math.exp(-log_gamma(arg))
-        term = zpow * inv_gamma
+            term = np.exp(k * log_az - log_gamma(arg))
+            if k % 2 == 1:
+                term = np.where(z < 0.0, -term, term)
         if not np.all(np.isfinite(term)):
-            raise ConvergenceError("mittag_leffler_many overflowed double precision")
-        small = np.abs(term) <= policy.rel_tol * np.abs(total)
-        streak = np.where(small, streak + 1, 0)
+            raise ConvergenceError(
+                f"mittag_leffler overflowed double precision (max |z| = {z_max!r})"
+            )
+        size = np.abs(term)
+        mass += size
+        streak = np.where(size <= policy.rel_tol * np.abs(total), streak + 1, 0)
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -338,10 +277,20 @@ def mittag_leffler_many(
         if np.all(streak >= 2):
             if not np.all(np.isfinite(total)):
                 raise ConvergenceError(
-                    "mittag_leffler_many overflowed double precision"
+                    f"mittag_leffler overflowed double precision (max |z| = {z_max!r})"
+                )
+            if np.any(2.0**-52 * mass > _CANCELLATION_LIMIT * np.abs(total)):
+                raise ConvergenceError(
+                    f"mittag_leffler lost its digits to cancellation "
+                    f"(mu = {mu!r}, max |z| = {z_max!r})"
                 )
             return total
     raise ConvergenceError(
-        f"mittag_leffler_many did not converge in {policy.max_terms} terms "
-        f"(max |z| = {np.max(np.abs(z))!r})"
+        f"mittag_leffler did not converge in {policy.max_terms} terms "
+        f"(max |z| = {z_max!r})"
     )
+
+
+def mittag_leffler(mu: float, z: float, policy: MlEvalPolicy = DEFAULT_ML_POLICY) -> float:
+    """:func:`mittag_leffler_many` at one argument ``z``."""
+    return float(mittag_leffler_many(mu, np.asarray(float(z)), policy))

@@ -35,7 +35,6 @@ from .solver import CauchyProblem, Solution, contraction_factor, picard_solve
 from .specfun import gamma_fn, mittag_leffler
 
 __all__ = [
-    "AssumptionFlags",
     "StabilityCertificate",
     "PerturbationSpec",
     "TrialResult",
@@ -52,42 +51,17 @@ PERTURBATION_SHAPES = ("constant", "phi_scaled", "random_bounded", "zero")
 
 
 @dataclass(frozen=True)
-class AssumptionFlags:
-    """What the certificate rests on.
-
-    ``continuity`` is asserted, not proved: right-hand sides arrive as
-    closed-form expressions and are only spot-checked by evaluation.
-    ``comparison`` is None for the plain (unweighted) certificate.
-    """
-
-    continuity: bool
-    constants: bool
-    contraction: bool
-    comparison: bool | None = None
-
-
-@dataclass(frozen=True)
 class StabilityCertificate:
     kind: str  # "ulam_hyers" | "ulam_hyers_rassias"
     c_f: float
-    assumptions: AssumptionFlags
     lambda_phi: float | None = None
     phi: Expr | None = None
-
-    def bound_at(self, epsilon: float) -> float:
-        """The certified ceiling as a function of the tolerance; 0 at 0."""
-        return self.c_f * epsilon
 
     @classmethod
     def ulam_hyers(
         cls, p: CauchyProblem, lipschitz: tuple[float, float] | None = None
     ) -> "StabilityCertificate":
-        c = uh_constant(p, lipschitz)
-        return cls(
-            kind="ulam_hyers",
-            c_f=c,
-            assumptions=AssumptionFlags(True, True, True, None),
-        )
+        return cls(kind="ulam_hyers", c_f=uh_constant(p, lipschitz))
 
     @classmethod
     def ulam_hyers_rassias(
@@ -97,11 +71,9 @@ class StabilityCertificate:
         lambda_phi: float,
         lipschitz: tuple[float, float] | None = None,
     ) -> "StabilityCertificate":
-        c = uhr_constant(p, phi, lambda_phi, lipschitz)
         return cls(
             kind="ulam_hyers_rassias",
-            c_f=c,
-            assumptions=AssumptionFlags(True, True, True, True),
+            c_f=uhr_constant(p, phi, lambda_phi, lipschitz),
             lambda_phi=float(lambda_phi),
             phi=phi,
         )
@@ -303,8 +275,7 @@ def _plain_deviation(z: Solution, y: Solution, mesh: Mesh, w: float) -> np.ndarr
     diff = np.abs(z.y.values[1:] - y.y.values[1:])
     if w == 0.0:
         return diff
-    dx = mesh.psi_nodes[1:] - mesh.psi_nodes[0]
-    return diff * np.power(dx, -w)
+    return diff * np.power(mesh.offsets[1:], -w)
 
 
 def perturb_and_check(
@@ -430,7 +401,7 @@ def _refine_perturbation(
     """
     if spec.shape in ("zero", "constant", "phi_scaled"):
         return _draw_perturbation(spec, trial, mesh2, envelope2, weighted)
-    interp = np.interp(mesh2.psi_nodes, mesh.psi_nodes, pert)
+    interp = np.interp(mesh2.offsets, mesh.offsets, pert)
     return np.clip(interp, -envelope2, envelope2)
 
 

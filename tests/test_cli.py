@@ -7,6 +7,7 @@ import pytest
 
 from fracstab.cli import load_problem, main, problem_from_dict
 from fracstab.errors import SchemaError
+from fracstab.psi_space import PSI_KINDS
 
 from conftest import PROBLEMS, ROOT
 
@@ -108,6 +109,9 @@ def test_bundled_problems_match_published_schema():
         mutate(lipschitz={"k": 0.1}),
     ):
         assert not validator.is_valid(doc)
+    # the schema and the library list the same reparametrisations
+    kinds = schema["properties"]["psi"]["properties"]["kind"]["enum"]
+    assert tuple(kinds) == PSI_KINDS
 
 
 def test_specfun_command(capsys):
@@ -123,7 +127,9 @@ def test_specfun_error_paths(capsys):
     assert main(["specfun", "gamma", "1", "2"]) == 2
     assert main(["specfun", "gamma", "-1"]) == 2
     assert main(["specfun", "ml", "0.5", "100"]) == 2
-    capsys.readouterr()
+    # the alternating series cancels every digit at -6; refused, not printed
+    assert main(["specfun", "ml", "0.5", "-6"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_solve_csv_shape(capsys, tmp_path):

@@ -47,6 +47,20 @@ def test_row_sums_exact_on_constants(psi, a, T, alpha):
     assert float(np.max(rel)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "psi,a,T",
+    [(PsiMap("identity"), 100.0, 101.0), (PsiMap("power", rho=2.0), 3.0, 3.3)],
+)
+def test_row_sums_exact_on_shifted_interval(psi, a, T):
+    # psi(a) far from 0: the first graded cells are 1e-11 wide next to it
+    n, grading, alpha = 500, 4.0, 0.5
+    mesh = build_mesh(psi, a, T, n, grading)
+    span = psi.value(T) - psi.value(a)
+    exact = (span * (np.arange(1, n + 1) / n) ** grading) ** alpha / gamma_fn(alpha + 1.0)
+    rs = FracIntegralOperator(mesh, alpha).row_sums()
+    assert float(np.max(np.abs(rs[1:] - exact) / exact)) <= 1e-12
+
+
 def test_inc_beta_against_scipy():
     thetas = np.array([1e-8, 1e-4, 0.01, 0.1, 0.5, 0.9, 0.999, 1.0])
     for p in (0.05, 0.3, 0.5, 0.75, 1.0, 1.5, 2.7):

@@ -13,36 +13,28 @@ from fracstab.psi_space import (
     GridFunction,
     PsiMap,
     build_mesh,
-    psi_eval,
-    weighted_norm,
 )
 
 
 def test_psi_identity():
     psi = PsiMap("identity")
     assert psi.value(2.5) == 2.5
-    assert psi.deriv(2.5) == 1.0
     assert psi.inverse(2.5) == 2.5
     arr = np.array([0.0, 1.0, 4.0])
     np.testing.assert_allclose(psi.value(arr), arr)
-    np.testing.assert_allclose(psi.deriv(arr), np.ones(3))
 
 
 def test_psi_logarithm():
     psi = PsiMap("logarithm")
     assert psi.value(math.e) == pytest.approx(1.0, rel=1e-15)
-    assert psi.deriv(2.0) == pytest.approx(0.5)
     assert psi.inverse(1.0) == pytest.approx(math.e, rel=1e-15)
     with pytest.raises(DomainError):
         psi.value(0.0)
-    with pytest.raises(DomainError):
-        psi.deriv(-1.0)
 
 
 def test_psi_power():
     psi = PsiMap("power", rho=2.0)
     assert psi.value(3.0) == pytest.approx(9.0)
-    assert psi.deriv(3.0) == pytest.approx(6.0)
     assert psi.inverse(9.0) == pytest.approx(3.0)
     with pytest.raises(DomainError):
         psi.value(-0.5)
@@ -66,12 +58,6 @@ def test_psi_validation():
 def test_psi_inverse_round_trip(kind, rho, t):
     psi = PsiMap(kind, rho)
     assert psi.inverse(psi.value(t)) == pytest.approx(t, rel=1e-12)
-
-
-def test_psi_eval_pairs():
-    v, d = psi_eval(PsiMap("power", rho=0.5), 4.0)
-    assert v == pytest.approx(2.0)
-    assert d == pytest.approx(0.25)
 
 
 def test_frac_order_gamma_table():
@@ -131,6 +117,16 @@ def test_build_mesh_log_and_power():
     assert mpow.nodes[-1] == 3.0
 
 
+def test_build_mesh_offsets_exact_on_shifted_interval():
+    # psi(t_j) - psi(a) is stored, not recovered by cancelling psi(a) = 100
+    mesh = build_mesh(PsiMap("identity"), 100.0, 101.0, 500, grading=4.0)
+    ref = (np.arange(501) / 500.0) ** 4
+    np.testing.assert_allclose(mesh.offsets, ref, rtol=1e-15, atol=0.0)
+    assert mesh.offsets[0] == 0.0 and mesh.offsets[-1] == 1.0
+    with pytest.raises(ValueError):
+        mesh.offsets[1] = 0.0
+
+
 def test_build_mesh_validation():
     with pytest.raises(DomainError):
         build_mesh(PsiMap("logarithm"), 0.0, 1.0, 8)
@@ -167,32 +163,4 @@ def test_grid_function_values_frozen():
     u = GridFunction(mesh, np.ones(5), 0.0)
     with pytest.raises(ValueError):
         u.values[2] = 7.0
-    v = u.with_values(2.0 * u.values)
-    assert v.weight_exp == u.weight_exp
-    np.testing.assert_allclose(v.values, 2.0)
 
-
-def test_weighted_norm_plain_vs_stored():
-    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 8)
-    order = FracOrder(0.5, 0.0)  # weight 0.5
-    vals = np.linspace(1.0, 2.0, 9)
-    plain = GridFunction(mesh, vals, 0.0)
-    dx = mesh.psi_nodes - mesh.psi_nodes[0]
-    expected = float(np.max(dx[1:] ** 0.5 * vals[1:]))  # node 0 excluded
-    assert weighted_norm(plain, order) == pytest.approx(expected, rel=1e-14)
-
-    stored = GridFunction(mesh, np.sqrt(dx) * vals, 0.5)
-    assert weighted_norm(stored, order) == pytest.approx(expected, rel=1e-14)
-
-
-def test_weighted_norm_plain_when_gamma_one():
-    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 8)
-    u = GridFunction(mesh, np.linspace(-3.0, 1.0, 9), 0.0)
-    assert weighted_norm(u, FracOrder(0.5, 1.0)) == pytest.approx(3.0)
-
-
-def test_weighted_norm_weight_mismatch():
-    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 8)
-    u = GridFunction(mesh, np.ones(9), 0.25)
-    with pytest.raises(ContractError):
-        weighted_norm(u, FracOrder(0.5, 0.0))

@@ -21,7 +21,7 @@ from fracstab.specfun import (
     mittag_leffler,
     mittag_leffler_many,
 )
-from fracstab.specfun import gamma_many
+from fracstab.rhs_expr import evaluate, parse_expression
 
 # mpmath 50-digit references (mp.dps = 60; E_{1/2}(z) = exp(z**2) * erfc(-z))
 GAMMA_REFS = {
@@ -77,10 +77,11 @@ def test_log_gamma_matches_gamma():
 
 
 def test_gamma_many_matches_scalar():
-    xs = np.array([0.1, 0.3, 0.5, 1.0, 2.5, 150.0, 168.0])
-    out = gamma_many(xs)
+    # array evaluation maps the scalar Lanczos code, bit for bit
+    xs = np.array([0.1, 0.3, 0.5, 1.0, 2.5, 3.0, 150.0, 168.0])
+    out = evaluate(parse_expression("gamma(t)"), xs)
     for x, v in zip(xs, out):
-        assert v == pytest.approx(gamma_fn(float(x)), rel=1e-13)
+        assert v == gamma_fn(float(x))
 
 
 def test_erf_frozen_values():
@@ -158,6 +159,18 @@ def test_ml_many_matches_scalar():
     out = mittag_leffler_many(0.5, zs)
     for z, v in zip(zs, out):
         assert v == pytest.approx(mittag_leffler(0.5, float(z)), rel=1e-12)
+
+
+def test_ml_refuses_cancelled_alternating_sums():
+    # E_{1/2}(-6) = exp(36) * erfc(6) = 0.0928, but the terms reach 1e14
+    # and cancel every digit; the series must raise, not return a number
+    with pytest.raises(ConvergenceError):
+        mittag_leffler(0.5, -6.0)
+    with pytest.raises(ConvergenceError):
+        mittag_leffler_many(0.5, np.array([0.5, -8.0]))
+    # at -3.8 more than eight digits survive the cancellation
+    ref = math.exp(3.8**2) * math.erfc(3.8)
+    assert mittag_leffler(0.5, -3.8) == pytest.approx(ref, rel=1e-8)
 
 
 def test_ml_many_range_check():

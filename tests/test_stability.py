@@ -104,16 +104,12 @@ def test_certificates_and_bounds():
     cert = StabilityCertificate.ulam_hyers(pf.problem)
     assert cert.kind == "ulam_hyers"
     assert cert.c_f == pytest.approx(C_F_EX1, rel=1e-12)
-    assert cert.bound_at(1e-2) == pytest.approx(1e-2 * C_F_EX1, rel=1e-12)
-    assert cert.assumptions.contraction
-    assert cert.assumptions.comparison is None
 
     pf5 = load_example(5)
     cert5 = StabilityCertificate.ulam_hyers_rassias(
         pf5.problem, pf5.phi, pf5.lambda_phi
     )
     assert cert5.kind == "ulam_hyers_rassias"
-    assert cert5.assumptions.comparison
     assert cert5.lambda_phi == pf5.lambda_phi
 
 
