@@ -1,5 +1,5 @@
 PY ?= python3
-CLI ?= PYTHONPATH=src $(PY) -m fracstab.cli
+CLI ?= PYTHONPATH=src $(PY) -m fracstab
 EXAMPLES := 1 2 3 4 5 6 7
 
 .PHONY: test golden ops

@@ -48,13 +48,7 @@ from .solver import (
     estimate_lipschitz,
     picard_solve,
 )
-from .specfun import (
-    DEFAULT_ML_POLICY,
-    MlEvalPolicy,
-    erf_fn,
-    gamma_fn,
-    mittag_leffler,
-)
+from .specfun import erf_fn, gamma_fn, mittag_leffler
 from .stability import (
     PerturbationReport,
     PerturbationSpec,

@@ -92,6 +92,14 @@ def _string(value, key: str) -> str:
     return value
 
 
+def _build(cls, *args, **kwargs):
+    """Construct a library object; its keyed domain errors name the field."""
+    try:
+        return cls(*args, **kwargs)
+    except DomainError as err:
+        raise SchemaError(err.key, str(err)) from err
+
+
 def problem_from_dict(data) -> ProblemFile:
     """Validate a decoded problem document and build the problem."""
     if not isinstance(data, dict):
@@ -109,25 +117,13 @@ def problem_from_dict(data) -> ProblemFile:
     for key in raw_psi:
         if key not in ("kind", "rho"):
             raise SchemaError(f"psi.{key}", "unknown key")
-    kind = raw_psi.get("kind")
-    if kind not in PSI_KINDS:
-        raise SchemaError("psi.kind", f"expected one of {PSI_KINDS}")
     rho = _number(raw_psi["rho"], "psi.rho") if "rho" in raw_psi else 1.0
-    try:
-        psi = PsiMap(kind, rho)
-    except DomainError as err:
-        raise SchemaError("psi.rho", str(err)) from err
-
+    psi = _build(PsiMap, raw_psi.get("kind"), rho)
     alpha = _number(data["alpha"], "alpha")
-    if not 0.0 < alpha <= 1.0:
-        raise SchemaError("alpha", "must lie in (0, 1]")
     beta = _number(data["beta"], "beta")
-    if not 0.0 <= beta <= 1.0:
-        raise SchemaError("beta", "must lie in [0, 1]")
+    order = _build(FracOrder, alpha, beta)
     a = _number(data["a"], "a")
     T = _number(data["T"], "T")
-    if not T > a:
-        raise SchemaError("T", "must exceed a")
     y_a = _number(data["y_a"], "y_a")
 
     parameters: dict[str, float] = {}
@@ -159,10 +155,6 @@ def problem_from_dict(data) -> ProblemFile:
             raise SchemaError("lipschitz", "k and l must be given together")
         k = _number(raw_lip["k"], "lipschitz.k")
         l = _number(raw_lip["l"], "lipschitz.l")
-        if k < 0.0:
-            raise SchemaError("lipschitz.k", "must be >= 0")
-        if not 0.0 <= l < 1.0:
-            raise SchemaError("lipschitz.l", "must lie in [0, 1)")
         lipschitz = (k, l)
 
     phi = None
@@ -183,13 +175,10 @@ def problem_from_dict(data) -> ProblemFile:
         if lambda_phi <= 0.0:
             raise SchemaError("lambda_phi", "must be positive")
 
-    try:
-        problem = CauchyProblem(
-            psi=psi, order=FracOrder(alpha, beta), a=a, T=T, y_a=y_a,
-            rhs=rhs, lipschitz=lipschitz,
-        )
-    except DomainError as err:
-        raise SchemaError("a", str(err)) from err
+    problem = _build(
+        CauchyProblem, psi=psi, order=order, a=a, T=T, y_a=y_a,
+        rhs=rhs, lipschitz=lipschitz,
+    )
     return ProblemFile(
         problem=problem, phi=phi, lambda_phi=lambda_phi, parameters=parameters
     )
@@ -254,7 +243,7 @@ def _usable_lipschitz(
 
 
 def _lambda_phi_policy(
-    p: CauchyProblem, pf: ProblemFile, mesh
+    p: CauchyProblem, pf: ProblemFile, operator: FracIntegralOperator
 ) -> tuple[float, float, bool | None]:
     """Mesh estimate, the coefficient to use, and declared-value soundness.
 
@@ -263,7 +252,7 @@ def _lambda_phi_policy(
     too-small coefficient would certify a bound the comparison test
     already disproves.
     """
-    lam_hat = estimate_lambda_phi(p, pf.phi, mesh)
+    lam_hat = estimate_lambda_phi(p, pf.phi, operator.mesh, operator=operator)
     if pf.lambda_phi is None:
         return lam_hat, lam_hat, None
     sound = bool(lam_hat <= pf.lambda_phi + 1e-12)
@@ -362,13 +351,14 @@ def cmd_certify(args) -> int:
         info["c_f_uh"] = uh_constant(p, lip)
         if pf.phi is not None:
             mesh = build_mesh(p.psi, p.a, p.T, args.n, default_grading(p.order))
-            lam_hat, lam_used, sound = _lambda_phi_policy(p, pf, mesh)
+            operator = FracIntegralOperator(mesh, p.order.alpha)
+            lam_hat, lam_used, sound = _lambda_phi_policy(p, pf, operator)
             info["lambda_phi_hat"] = lam_hat
             info["lambda_phi_used"] = lam_used
             if pf.lambda_phi is not None:
                 info["lambda_phi_declared"] = pf.lambda_phi
                 info["lambda_phi_sound"] = sound
-            info["c_f_uhr"] = uhr_constant(p, pf.phi, lam_used, lip)
+            info["c_f_uhr"] = uhr_constant(p, lam_used, lip)
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
     else:
@@ -403,7 +393,7 @@ def cmd_perturb(args) -> int:
     mesh = build_mesh(p.psi, p.a, p.T, args.n, default_grading(p.order))
     operator = FracIntegralOperator(mesh, p.order.alpha)
     if pf.phi is not None:
-        _, lam_used, _ = _lambda_phi_policy(p, pf, mesh)
+        _, lam_used, _ = _lambda_phi_policy(p, pf, operator)
         cert = StabilityCertificate.ulam_hyers_rassias(p, pf.phi, lam_used, lip)
     else:
         cert = StabilityCertificate.ulam_hyers(p, lip)
@@ -485,8 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("values", type=float, nargs="+")
     p_fun.set_defaults(func=cmd_specfun)
 
-    def _solver_flags(sp, n_default=256):
-        sp.add_argument("--n", type=int, default=n_default)
+    def _solver_flags(sp):
+        sp.add_argument("--n", type=int, default=256)
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--max-iter", type=int, default=200)
 
@@ -526,10 +516,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as err:
-        _note(f"error: {err}")
-        return 2
     except (
+        SchemaError,
         DomainError,
         RangeError,
         ParseError,

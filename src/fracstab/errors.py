@@ -12,7 +12,14 @@ class FracstabError(Exception):
 
 
 class DomainError(FracstabError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    ``key`` names the problem-file field at fault, such as ``psi.rho``.
+    """
+
+    def __init__(self, reason: str, key: str | None = None):
+        self.key = key
+        super().__init__(reason)
 
 
 class RangeError(FracstabError, ValueError):
@@ -43,10 +50,6 @@ class ParseError(FracstabError, ValueError):
         self.offset = offset
         self.reason = reason
         super().__init__(f"parse error at offset {offset}: {reason}")
-
-    def context(self) -> str:
-        """Return a two-line caret diagram locating the error."""
-        return f"{self.source}\n{' ' * self.offset}^"
 
 
 class EvaluationError(FracstabError, ValueError):

@@ -382,7 +382,9 @@ def evaluate(expr: Expr, t, y=0.0, d=0.0):
     env = {"t": t, "y": y, "d": d}
     out = _eval(expr, env)
     if np.ndim(out) == 0:
-        return float(out)
+        # a constant expression broadcasts like any other
+        shape = np.broadcast_shapes(np.shape(t), np.shape(y), np.shape(d))
+        return np.full(shape, float(out)) if shape else float(out)
     return np.asarray(out, dtype=float)
 
 

@@ -68,16 +68,18 @@ class CauchyProblem:
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.T) and self.T > self.a):
-            raise DomainError(f"need finite T > a, got a={self.a!r}, T={self.T!r}")
+            raise DomainError(
+                f"need finite T > a, got a={self.a!r}, T={self.T!r}", key="T"
+            )
         if self.psi.kind == "logarithm" and self.a < 1.0:
             # by convention the log reparametrisation starts no earlier than 1
-            raise DomainError("logarithm reparametrisation requires a >= 1")
+            raise DomainError("logarithm reparametrisation requires a >= 1", key="a")
         if self.psi.kind == "power" and self.a < 0.0:
-            raise DomainError("power reparametrisation requires a >= 0")
-        self.psi.value(self.a)
-        self.psi.value(self.T)
+            raise DomainError("power reparametrisation requires a >= 0", key="a")
         if not math.isfinite(self.y_a):
-            raise DomainError(f"initial datum must be finite, got {self.y_a!r}")
+            raise DomainError(
+                f"initial datum must be finite, got {self.y_a!r}", key="y_a"
+            )
         extra = free_variables(self.rhs) - {"t", "y", "d"}
         if extra:
             raise ContractError(
@@ -91,9 +93,13 @@ class CauchyProblem:
 
 def _check_lipschitz_pair(k: float, l: float) -> None:
     if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"Lipschitz constant k must be >= 0, got {k!r}")
+        raise DomainError(
+            f"Lipschitz constant k must be >= 0, got {k!r}", key="lipschitz.k"
+        )
     if not (math.isfinite(l) and 0.0 <= l < 1.0):
-        raise DomainError(f"Lipschitz constant l must lie in [0, 1), got {l!r}")
+        raise DomainError(
+            f"Lipschitz constant l must lie in [0, 1), got {l!r}", key="lipschitz.l"
+        )
 
 
 @dataclass(frozen=True)
@@ -199,20 +205,12 @@ def _seed_g(
         vals = evaluate(p.rhs, t, y_plain, np.zeros(mesh.n + 1))
         if forcing is not None:
             vals = vals + forcing
-        return _as_nodes(vals, mesh.n + 1)
+        return vals
     y_plain = pref * np.power(mesh.offsets[1:], gamma - 1.0)
     vals = evaluate(p.rhs, t[1:], y_plain, np.zeros(mesh.n))
     if forcing is not None:
         vals = vals + forcing[1:]
-    return _lift_weighted(_as_nodes(vals, mesh.n), dxw, mesh)
-
-
-def _as_nodes(vals, count: int) -> np.ndarray:
-    """Rhs evaluations collapse to a scalar for constant expressions."""
-    arr = np.asarray(vals, dtype=float)
-    if arr.ndim == 0:
-        return np.full(count, float(arr))
-    return arr
+    return _lift_weighted(vals, dxw, mesh)
 
 
 def _lift_weighted(
@@ -290,14 +288,14 @@ def picard_solve(
             vals = evaluate(p.rhs, t, y_hat, g_hat)
             if forcing is not None:
                 vals = vals + forcing
-            g_next = _as_nodes(vals, mesh.n + 1)
+            g_next = vals
         else:
             y_plain = y_hat[1:] * dxg
             g_plain = g_hat[1:] * dxg
             vals = evaluate(p.rhs, t[1:], y_plain, g_plain)
             if forcing is not None:
                 vals = vals + forcing[1:]
-            g_next = _lift_weighted(_as_nodes(vals, mesh.n), dxw, mesh)
+            g_next = _lift_weighted(vals, dxw, mesh)
         if not np.all(np.isfinite(g_next)):
             raise NonConvergenceError(iteration, math.inf)
         update = float(np.max(np.abs(g_next - g_hat)))
@@ -352,28 +350,22 @@ class LipschitzEstimate:
     l: float
 
 
-def estimate_lipschitz(
-    p: CauchyProblem,
-    samples: int = 9,
-    *,
-    box: tuple[tuple[float, float], tuple[float, float]] | None = None,
-    trial_n: int = 64,
-) -> LipschitzEstimate:
+# estimate_lipschitz: grid points per axis, and the trial solve's mesh size
+_LIPSCHITZ_SAMPLES = 9
+_LIPSCHITZ_TRIAL_N = 64
+
+
+def estimate_lipschitz(p: CauchyProblem) -> LipschitzEstimate:
     """Sampled bounds on the right-hand side's slopes in the y and d slots.
 
     Central differences over a deterministic (t, y, d) grid; the box for
-    (y, d) defaults to the padded range of a coarse trial solve.  These are
+    (y, d) is the padded range of a coarse trial solve.  These are
     estimates over the sampled box, not proofs: certification prefers
     declared constants and treats these as advisory.
     """
-    if samples < 2:
-        raise ContractError(f"need at least 2 samples per axis, got {samples!r}")
-    if box is None:
-        box = _default_box(p, trial_n)
-    (y_lo, y_hi), (d_lo, d_hi) = box
-    if not (y_hi >= y_lo and d_hi >= d_lo):
-        raise ContractError(f"degenerate sampling box {box!r}")
-    mesh = build_mesh(p.psi, p.a, p.T, max(samples, 8), default_grading(p.order))
+    samples = _LIPSCHITZ_SAMPLES
+    (y_lo, y_hi), (d_lo, d_hi) = _default_box(p)
+    mesh = build_mesh(p.psi, p.a, p.T, samples, default_grading(p.order))
     t_axis = mesh.nodes[1:] if p.order.weight > 0.0 else mesh.nodes
     idx = np.unique(np.linspace(0, t_axis.size - 1, samples).round().astype(int))
     t_axis = t_axis[idx]
@@ -398,11 +390,9 @@ def estimate_lipschitz(
     return LipschitzEstimate(k=float(k_hat), l=float(l_hat))
 
 
-def _default_box(
-    p: CauchyProblem, trial_n: int
-) -> tuple[tuple[float, float], tuple[float, float]]:
+def _default_box(p: CauchyProblem) -> tuple[tuple[float, float], tuple[float, float]]:
     """Padded (y, d) ranges of a coarse trial solve; falls back to the seed."""
-    mesh = build_mesh(p.psi, p.a, p.T, trial_n, default_grading(p.order))
+    mesh = build_mesh(p.psi, p.a, p.T, _LIPSCHITZ_TRIAL_N, default_grading(p.order))
     try:
         sol = picard_solve(p, mesh, tol=1e-8, max_iter=80)
         y_vals, g_vals = _plain_tail(sol.y), _plain_tail(sol.g)

@@ -8,7 +8,8 @@ All three are evaluated from scratch in double precision:
   Lentz-evaluated continued fraction for the complementary function.
 * ``mittag_leffler_many`` sums the defining power series over a whole array
   at once, with compensated (Kahan) accumulation and a
-  two-consecutive-term truncation rule controlled by :class:`MlEvalPolicy`.
+  two-consecutive-term truncation rule (relative tolerance 1e-14, at most
+  1000 terms, ``|z| <= 50``).
   It refuses alternating sums that cancel below eight correct digits.
   ``mittag_leffler`` is the same series at a single argument.
 
@@ -22,15 +23,12 @@ A closed form worth knowing for testing: for index one half,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeError
 
 __all__ = [
-    "MlEvalPolicy",
-    "DEFAULT_ML_POLICY",
     "gamma_fn",
     "log_gamma",
     "erf_fn",
@@ -176,29 +174,11 @@ def erf_fn(z: float) -> float:
     return val if z > 0.0 else -val
 
 
-@dataclass(frozen=True)
-class MlEvalPolicy:
-    """Evaluation policy for the Mittag-Leffler series.
-
-    ``rel_tol`` is the relative truncation tolerance, ``max_terms`` the
-    series budget, ``arg_bound`` the largest admissible ``|z|``.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 1000
-    arg_bound: float = 50.0
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise DomainError(f"rel_tol must lie in (0, 1e-6], got {self.rel_tol!r}")
-        if self.max_terms < 50:
-            raise DomainError(f"max_terms must be >= 50, got {self.max_terms!r}")
-        if not (math.isfinite(self.arg_bound) and self.arg_bound > 0.0):
-            raise DomainError(f"arg_bound must be finite and > 0, got {self.arg_bound!r}")
-
-
-DEFAULT_ML_POLICY = MlEvalPolicy()
-
+# Mittag-Leffler series: relative truncation tolerance, term budget, and
+# the largest admissible ``|z|``.
+_ML_REL_TOL = 1e-14
+_ML_MAX_TERMS = 1000
+_ML_ARG_BOUND = 50.0
 
 # The series switches from ``z**k / gamma(arg)`` to the overflow-safe
 # ``exp(k * log|z| - log_gamma(arg))`` once ``max|z|**k`` reaches the guard
@@ -214,21 +194,19 @@ _CANCELLATION_LIMIT = 1e-8
 
 # overflow and log(0) are caught by the explicit finiteness checks
 @np.errstate(over="ignore", divide="ignore")
-def mittag_leffler_many(
-    mu: float, z: np.ndarray, policy: MlEvalPolicy = DEFAULT_ML_POLICY
-) -> np.ndarray:
+def mittag_leffler_many(mu: float, z: np.ndarray) -> np.ndarray:
     """One-parameter Mittag-Leffler ``sum_k z**k / gamma(mu*k + 1)``, elementwise.
 
     Terms are accumulated with Kahan compensation.  Truncation happens once
-    every element's next-term magnitude has stayed below ``policy.rel_tol``
-    times its running partial sum for two consecutive terms.
+    every element's next-term magnitude has stayed below 1e-14 times its
+    running partial sum for two consecutive terms.
 
     Raises
     ------
     RangeError
-        If some ``|z|`` exceeds ``policy.arg_bound``.
+        If some ``|z|`` exceeds 50.
     ConvergenceError
-        If ``policy.max_terms`` terms do not reach the truncation rule, the
+        If 1000 terms do not reach the truncation rule, the
         partial sums leave double range, or cancellation between the terms
         of an alternating sum leaves fewer than eight correct digits.
     """
@@ -239,9 +217,9 @@ def mittag_leffler_many(
     if not np.all(np.isfinite(z)):
         raise DomainError("mittag_leffler requires finite arguments")
     z_max = float(np.max(np.abs(z))) if z.size else 0.0
-    if z_max > policy.arg_bound:
+    if z_max > _ML_ARG_BOUND:
         raise RangeError(
-            f"max |z| = {z_max!r} exceeds the evaluation bound {policy.arg_bound!r}"
+            f"max |z| = {z_max!r} exceeds the evaluation bound {_ML_ARG_BOUND!r}"
         )
 
     total = np.ones_like(z)  # k = 0 term
@@ -251,7 +229,7 @@ def mittag_leffler_many(
     power_bound = 1.0  # max|z| ** k
     log_az = None
     streak = np.zeros(z.shape, dtype=int)
-    for k in range(1, policy.max_terms + 1):
+    for k in range(1, _ML_MAX_TERMS + 1):
         arg = mu * k + 1.0
         power_bound *= z_max
         if log_az is None and (power_bound >= _POWER_GUARD or arg > _DIRECT_GAMMA_ARG):
@@ -269,7 +247,7 @@ def mittag_leffler_many(
             )
         size = np.abs(term)
         mass += size
-        streak = np.where(size <= policy.rel_tol * np.abs(total), streak + 1, 0)
+        streak = np.where(size <= _ML_REL_TOL * np.abs(total), streak + 1, 0)
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -286,11 +264,11 @@ def mittag_leffler_many(
                 )
             return total
     raise ConvergenceError(
-        f"mittag_leffler did not converge in {policy.max_terms} terms "
+        f"mittag_leffler did not converge in {_ML_MAX_TERMS} terms "
         f"(max |z| = {z_max!r})"
     )
 
 
-def mittag_leffler(mu: float, z: float, policy: MlEvalPolicy = DEFAULT_ML_POLICY) -> float:
+def mittag_leffler(mu: float, z: float) -> float:
     """:func:`mittag_leffler_many` at one argument ``z``."""
-    return float(mittag_leffler_many(mu, np.asarray(float(z)), policy))
+    return float(mittag_leffler_many(mu, np.asarray(float(z))))

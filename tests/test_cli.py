@@ -1,6 +1,9 @@
 """Problem-file loading, subcommand behavior, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -61,6 +64,10 @@ REJECTIONS = [
     (mutate(lambda_phi=1.0), "lambda_phi"),
     (mutate(phi="t", lambda_phi=0.0), "lambda_phi"),
     (mutate(psi={"kind": "logarithm"}, a=0.5, T=2.0), "a"),
+    (mutate(beta=1.5), "beta"),
+    (mutate(T=0.0), "T"),
+    (mutate(psi={"kind": "power", "rho": 2.0}, a=-1.0), "a"),
+    (mutate(psi={}), "psi.kind"),
 ]
 
 
@@ -121,6 +128,22 @@ def test_specfun_command(capsys):
     assert capsys.readouterr().out.strip() == "5.00898008076"
     assert main(["specfun", "erf", "1"]) == 0
     assert capsys.readouterr().out.strip() == "0.84270079295"
+
+
+def test_package_runs_as_module():
+    # `python -m fracstab` goes through the package's __main__ without the
+    # runpy warning that re-executing an already imported module gives
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracstab",
+         "specfun", "gamma", "0.5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1.77245385091"
 
 
 def test_specfun_error_paths(capsys):

@@ -98,7 +98,6 @@ def test_parse_error_offset_and_context():
     with pytest.raises(ParseError) as info:
         parse_expression("1 + $")
     assert info.value.offset == 4
-    assert "$" in info.value.context()
 
 
 def test_evaluate_arrays():
@@ -106,6 +105,11 @@ def test_evaluate_arrays():
     t = np.array([0.0, 1.0, 2.0])
     out = evaluate(expr, t=t, y=1.0)
     np.testing.assert_allclose(out, [1.0, 2.0, 5.0])
+    # a constant expression still answers array input with an array
+    const = evaluate(parse_expression("0.5 * 3"), t=t, y=1.0)
+    assert isinstance(const, np.ndarray)
+    np.testing.assert_array_equal(const, [1.5, 1.5, 1.5])
+    assert evaluate(parse_expression("2"), t=1.0) == 2.0
 
 
 def test_evaluation_errors():

@@ -161,6 +161,16 @@ def test_solution_reconstruction_consistency():
     np.testing.assert_allclose(sol.y.values[1:], recon, rtol=1e-10)
 
 
+def test_weighted_solve_builds_only_the_weighted_table():
+    # example 1 has beta < 1, so every apply of the solve sees weighted
+    # data; the plain table would be dead weight and is never built
+    p = load_example(1).problem
+    mesh = _mesh(p, 32)
+    op = FracIntegralOperator(mesh, p.order.alpha)
+    picard_solve(p, mesh, operator=op)
+    assert list(op._tables) == [p.order.weight]
+
+
 def test_picard_validation():
     p = _problem("0.5*y")
     mesh = _mesh(p, 16)

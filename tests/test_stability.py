@@ -71,12 +71,10 @@ def test_uh_constant_requires_contraction():
 
 def test_uhr_constant_frozen():
     pf = load_example(5)
-    got = uhr_constant(pf.problem, pf.phi, pf.lambda_phi)
+    got = uhr_constant(pf.problem, pf.lambda_phi)
     assert got == pytest.approx(C_F_UHR_EX5, rel=1e-12)
     with pytest.raises(DomainError):
-        uhr_constant(pf.problem, pf.phi, 0.0)
-    with pytest.raises(ContractError):
-        uhr_constant(pf.problem, parse_expression("y"), 1.0)
+        uhr_constant(pf.problem, 0.0)
 
 
 def test_estimate_lambda_phi_frozen():
@@ -221,9 +219,6 @@ def test_understated_constants_fail_and_refine():
     assert report.max_ratio > 1.05
     assert report.rows[0].verdict == "fail"
     assert report.rows[0].refined
-    flat = perturb_and_check(pf.problem, weak, spec, mesh, refine=False)
-    assert not flat.passed
-    assert not flat.rows[0].refined
 
 
 def test_trial_error_rows():
