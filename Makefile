@@ -2,7 +2,7 @@ PY ?= python3
 CLI ?= PYTHONPATH=src $(PY) -m fracstab
 EXAMPLES := 1 2 3 4 5 6 7
 
-.PHONY: test golden ops
+.PHONY: test golden ops outputs
 
 test:
 	$(PY) -m pytest -q
@@ -17,3 +17,21 @@ golden:
 
 ops:
 	$(CLI) verify-ops
+
+# Write the CLI outputs a change must keep byte for byte: stdout, stderr and
+# exit code of each request go to $(OUT)/<request>.{out,err,exit}, so a
+# parent and a change compare with `diff -r`.  Usage: make outputs OUT=dir
+outputs:
+	@test -n "$(OUT)" || { echo "usage: make outputs OUT=dir" >&2; exit 2; }
+	mkdir -p $(OUT)
+	run() { name=$$1; shift; $(CLI) "$$@" > $(OUT)/$$name.out 2> $(OUT)/$$name.err; \
+		echo $$? > $(OUT)/$$name.exit; }; \
+	for i in $(EXAMPLES); do \
+		run certify$$i certify problems/example$$i.json --json; \
+		run solve$$i-n256 solve problems/example$$i.json --n 256; \
+		run solve$$i-n1024 solve problems/example$$i.json --n 1024; \
+		run perturb$$i perturb problems/example$$i.json --n 128 --trials 5; \
+	done; \
+	for i in 1 5 7; do run solve$$i-n2048 solve problems/example$$i.json --n 2048; done; \
+	run verify-ops verify-ops; \
+	run verify-ops-64-128 verify-ops --n-list 64,128

@@ -25,6 +25,7 @@ below quantify how well the inversion identities hold on a given mesh.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,19 +55,21 @@ __all__ = [
 # incomplete beta (needed by the singular first cell)
 
 def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    # vectorized Lentz over an array of abscissae, scalar parameters
+    # vectorized Lentz over a 1-d array of abscissae, scalar parameters;
+    # converged entries are written out and leave the working arrays
     max_it = 300
     eps = 3e-16
     fpmin = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
     c = np.ones_like(x)
     d = 1.0 - qab * x / qap
     d = np.where(np.abs(d) < fpmin, fpmin, d)
     d = 1.0 / d
     h = d.copy()
-    done = np.zeros(x.shape, dtype=bool)
     for m in range(1, max_it + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -75,7 +78,7 @@ def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
         c = 1.0 + aa / c
         c = np.where(np.abs(c) < fpmin, fpmin, c)
         d = 1.0 / d
-        h = np.where(done, h, h * d * c)
+        h = h * d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
         d = np.where(np.abs(d) < fpmin, fpmin, d)
@@ -83,10 +86,14 @@ def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
         c = np.where(np.abs(c) < fpmin, fpmin, c)
         d = 1.0 / d
         delta = d * c
-        h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) < eps
-        if np.all(done):
-            return h
+        h = h * delta
+        done = np.abs(delta - 1.0) < eps
+        if done.any():
+            out[idx[done]] = h[done]
+            live = ~done
+            idx, x, c, d, h = idx[live], x[live], c[live], d[live], h[live]
+            if not idx.size:
+                return out
     raise ConvergenceError(f"incomplete beta fraction stalled at ({a!r}, {b!r})")
 
 
@@ -130,31 +137,54 @@ def inc_beta_lower(p: float, q: float, theta: float) -> float:
 # ---------------------------------------------------------------------------
 # the integral operator
 
+#: Largest dense table an operator may need, in bytes: n <= 11584.
+_TABLE_BYTES_MAX = 1 << 30
+
+#: Temporaries of a table build cover one block of rows of about this size.
+_BLOCK_BYTES = 256 << 10
+
+#: Byte budget of the process-wide table cache; the newest table always stays.
+_CACHE_BYTES = 128 << 20
+
+#: Built tables, least recently used first, keyed by everything a table
+#: depends on: ``(mesh offsets, alpha, input weight exponent)``.  A hit
+#: therefore returns the very bits a fresh build would.
+_cache: OrderedDict[tuple[bytes, float, float], np.ndarray] = OrderedDict()
+
+
 class FracIntegralOperator:
     """Lower-triangular quadrature tables for one mesh and one order.
 
-    One table per input weight exponent, built on first use.  Entry
-    ``[i, j]`` multiplies the stored value at node ``j`` when evaluating
-    the integral at node ``i``; row 0 is identically zero.  Plain row sums
-    equal ``(psi(t_i) - psi(a))**alpha / gamma(alpha + 1)`` up to rounding,
+    One table per input weight exponent, fetched on first use from a
+    process-wide cache that builds each distinct table once; tables are
+    shared between operators and read-only.  Entry ``[i, j]`` multiplies
+    the stored value at node ``j`` when evaluating the integral at node
+    ``i``; row 0 is identically zero.  Plain row sums equal
+    ``(psi(t_i) - psi(a))**alpha / gamma(alpha + 1)`` up to rounding,
     which is the exactness-on-constants property the tests pin down.
+
+    A table holds ``(n+1)**2`` doubles; meshes whose table would exceed
+    1 GiB (n > 11584) raise ``DomainError`` before anything is allocated.
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
         if not (0.0 < alpha and math.isfinite(alpha)):
             raise DomainError(f"integral order must be positive, got {alpha!r}")
+        nbytes = (mesh.n + 1) ** 2 * 8
+        if nbytes > _TABLE_BYTES_MAX:
+            raise DomainError(
+                f"n = {mesh.n} needs {nbytes} bytes per quadrature table, "
+                f"over the {_TABLE_BYTES_MAX} byte ceiling"
+            )
         self.mesh = mesh
         self.alpha = float(alpha)
         self._tables: dict[float, np.ndarray] = {}
 
     def _table(self, weight_exp: float) -> np.ndarray:
-        """The table for input stored with ``weight_exp``, built on first use."""
+        """The table for input stored with ``weight_exp``, fetched on first use."""
         table = self._tables.get(weight_exp)
         if table is None:
-            if weight_exp == 0.0:
-                table = _build_plain_table(self.mesh, self.alpha)
-            else:
-                table = _build_weighted_table(self.mesh, self.alpha, 1.0 - weight_exp)
+            table = _shared_table(self.mesh, self.alpha, weight_exp)
             self._tables[weight_exp] = table
         return table
 
@@ -226,30 +256,62 @@ def _pow_diff(B: np.ndarray, A: np.ndarray, p: float) -> np.ndarray:
     return np.where(close, via_log, direct)
 
 
+def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> np.ndarray:
+    """The read-only table from ``_cache``, built on a miss.
+
+    Eviction drops the cache's reference only; operators keep their own.
+    """
+    key = (mesh.offsets.tobytes(), alpha, weight_exp)
+    table = _cache.get(key)
+    if table is not None:
+        _cache.move_to_end(key)
+        return table
+    if weight_exp == 0.0:
+        table = _build_plain_table(mesh, alpha)
+    else:
+        table = _build_weighted_table(mesh, alpha, 1.0 - weight_exp)
+    table.setflags(write=False)
+    _cache[key] = table
+    held = sum(t.nbytes for t in _cache.values())
+    while held > _CACHE_BYTES and len(_cache) > 1:
+        held -= _cache.popitem(last=False)[1].nbytes
+    return table
+
+
+def _row_blocks(n: int):
+    """Row ranges ``[r0, r1)`` of an ``(n+1)``-square table, ``_BLOCK_BYTES`` each.
+
+    Row ``i`` reads cells ``j < i`` only, so a block needs the first
+    ``r1 - 1`` cells and its temporaries cover the lower trapezoid.
+    """
+    step = max(1, _BLOCK_BYTES // (8 * (n + 1)))
+    for r0 in range(0, n + 1, step):
+        yield r0, min(r0 + step, n + 1)
+
+
 def _build_plain_table(mesh: Mesh, alpha: float) -> np.ndarray:
     """Product-integration table acting on plain samples."""
     X = mesh.offsets
     n = mesh.n
-    left = X[:-1]
-    right = X[1:]
-    h = right - left
-    rows = np.arange(n + 1)[:, None]
-    cols = np.arange(n)[None, :]
-    valid = cols < rows
-    A = np.where(valid, X[:, None] - left[None, :], 1.0)
-    B = np.where(valid, np.maximum(X[:, None] - right[None, :], 0.0), 0.5)
-    d0 = _pow_diff(B, A, alpha) / alpha
-    d1 = _pow_diff(B, A, alpha + 1.0) / (alpha + 1.0)
-    # one-sided first moments of the kernel over each cell; they sum to h * d0
-    w_left = np.maximum((d1 - B * d0) / h[None, :], 0.0)
-    w_right = np.maximum((A * d0 - d1) / h[None, :], 0.0)
-    w_left = np.where(valid, w_left, 0.0)
-    w_right = np.where(valid, w_right, 0.0)
     ga = gamma_fn(alpha)
     W = np.zeros((n + 1, n + 1))
-    W[:, :-1] += w_left
-    W[:, 1:] += w_right
-    W /= ga
+    for r0, r1 in _row_blocks(n):
+        m = r1 - 1
+        left = X[:m]
+        right = X[1:r1]
+        h = right - left
+        Xi = X[r0:r1, None]
+        valid = np.arange(m)[None, :] < np.arange(r0, r1)[:, None]
+        A = np.where(valid, Xi - left[None, :], 1.0)
+        B = np.where(valid, np.maximum(Xi - right[None, :], 0.0), 0.5)
+        d0 = _pow_diff(B, A, alpha) / alpha
+        d1 = _pow_diff(B, A, alpha + 1.0) / (alpha + 1.0)
+        # one-sided first moments of the kernel over each cell; they sum to h * d0
+        w_left = np.maximum((d1 - B * d0) / h[None, :], 0.0)
+        w_right = np.maximum((A * d0 - d1) / h[None, :], 0.0)
+        W[r0:r1, :m] += np.where(valid, w_left, 0.0)
+        W[r0:r1, 1:r1] += np.where(valid, w_right, 0.0)
+        W[r0:r1, :r1] /= ga
     return W
 
 
@@ -263,29 +325,37 @@ def _build_weighted_table(mesh: Mesh, alpha: float, gamma_u: float) -> np.ndarra
     """
     n = mesh.n
     dx = mesh.offsets
-    rows = np.arange(n + 1)[:, None]
-    ks = np.arange(n + 1)[None, :]
-    safe_X = np.where(dx > 0.0, dx, 1.0)[:, None]
-    theta = np.clip(np.where(ks <= rows, dx[None, :] / safe_X, 1.0), 0.0, 1.0)
-    B0 = _lower_beta_many(gamma_u, alpha, theta)
-    B1 = _lower_beta_many(gamma_u + 1.0, alpha, theta)
-    valid = (ks[:, :-1] < rows) & (rows > 0)
-    dB0 = np.where(valid, B0[:, 1:] - B0[:, :-1], 0.0)
-    dB1 = np.where(valid, B1[:, 1:] - B1[:, :-1], 0.0)
-    h = (dx[1:] - dx[:-1])[None, :]
-    xl = dx[:-1][None, :]
-    xr = dx[1:][None, :]
-    pref = np.power(safe_X, alpha + gamma_u - 1.0) / gamma_fn(alpha)
-    c_left = np.maximum(pref * (xr * dB0 - safe_X * dB1) / h, 0.0)
-    c_right = np.maximum(pref * (safe_X * dB1 - xl * dB0) / h, 0.0)
+    safe = np.where(dx > 0.0, dx, 1.0)[:, None]
+    pref = np.power(safe, alpha + gamma_u - 1.0) / gamma_fn(alpha)
     V = np.zeros((n + 1, n + 1))
-    V[:, :-1] += np.where(valid, c_left, 0.0)
-    V[:, 1:] += np.where(valid, c_right, 0.0)
+    for r0, r1 in _row_blocks(n):
+        m = r1 - 1
+        rows = np.arange(r0, r1)[:, None]
+        ks = np.arange(r1)[None, :]
+        safe_X = safe[r0:r1]
+        theta = np.clip(np.where(ks <= rows, dx[None, :r1] / safe_X, 1.0), 0.0, 1.0)
+        B0 = _lower_beta_many(gamma_u, alpha, theta)
+        B1 = _lower_beta_many(gamma_u + 1.0, alpha, theta)
+        valid = (ks[:, :-1] < rows) & (rows > 0)
+        dB0 = np.where(valid, B0[:, 1:] - B0[:, :-1], 0.0)
+        dB1 = np.where(valid, B1[:, 1:] - B1[:, :-1], 0.0)
+        h = (dx[1:r1] - dx[:m])[None, :]
+        xl = dx[:m][None, :]
+        xr = dx[1:r1][None, :]
+        p = pref[r0:r1]
+        c_left = np.maximum(p * (xr * dB0 - safe_X * dB1) / h, 0.0)
+        c_right = np.maximum(p * (safe_X * dB1 - xl * dB0) / h, 0.0)
+        V[r0:r1, :m] += np.where(valid, c_left, 0.0)
+        V[r0:r1, 1:r1] += np.where(valid, c_right, 0.0)
     return V
 
 
 def frac_integral(u: GridFunction, alpha: float) -> GridFunction:
-    """One-shot integral of order ``alpha``; builds the table and applies it."""
+    """One-shot integral of order ``alpha``.
+
+    Builds the table on the first request for this mesh, order and input
+    weight, reuses the cached one after that, and applies it.
+    """
     return FracIntegralOperator(u.mesh, alpha).apply(u)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from fracstab import fraccalc
 from fracstab.errors import ContractError, ConvergenceError, DomainError
 from fracstab.fraccalc import (
     DESIGN_ORDERS,
@@ -153,6 +154,101 @@ def test_apply_mesh_mismatch():
         op.apply(GridFunction(m2, np.zeros(33), 0.0))
     with pytest.raises(DomainError):
         FracIntegralOperator(m1, 0.0)
+
+
+def _lentz_all_entries(a, b, x):
+    """Reference continued fraction: every entry iterates until all converge."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = np.where(np.abs(d) < 1e-300, 1e-300, d)
+    d = 1.0 / d
+    h = d.copy()
+    done = np.zeros(x.shape, dtype=bool)
+    for m in range(1, 301):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < 1e-300, 1e-300, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < 1e-300, 1e-300, c)
+        d = 1.0 / d
+        h = np.where(done, h, h * d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < 1e-300, 1e-300, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < 1e-300, 1e-300, c)
+        d = 1.0 / d
+        delta = d * c
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) < 3e-16
+        if np.all(done):
+            return h
+    raise AssertionError("reference fraction stalled")
+
+
+@pytest.mark.parametrize("a,b", [(0.25, 0.5), (0.75, 0.5), (1.5, 0.1), (0.5, 1.25)])
+def test_beta_fraction_matches_all_entries_reference(a, b):
+    # retiring converged entries early must not change a single bit
+    x = np.random.default_rng(3).uniform(0.0, (a + 1.0) / (a + b + 2.0), 500)
+    assert np.array_equal(fraccalc._beta_fraction(a, b, x), _lentz_all_entries(a, b, x))
+
+
+def test_beta_fraction_stall_raises():
+    with pytest.raises(ConvergenceError):
+        fraccalc._beta_fraction(0.5, 0.5, np.array([0.1, np.nan]))
+
+
+@pytest.mark.parametrize(
+    "psi,a,T", [(PsiMap("identity"), 0.0, 1.0), (PsiMap("identity"), 100.0, 101.0)]
+)
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_table_builds_do_not_depend_on_block_size(monkeypatch, psi, a, T, block_rows):
+    # n + 1 = 101 rows: one default block, or 101 and 15 (the last one short)
+    mesh = build_mesh(psi, a, T, 100, grading=4.0)
+    plain = fraccalc._build_plain_table(mesh, 0.5)
+    weighted = fraccalc._build_weighted_table(mesh, 0.5, 0.75)
+    monkeypatch.setattr(fraccalc, "_BLOCK_BYTES", block_rows * 8 * 101)
+    assert np.array_equal(fraccalc._build_plain_table(mesh, 0.5), plain)
+    assert np.array_equal(fraccalc._build_weighted_table(mesh, 0.5, 0.75), weighted)
+
+
+def test_run_operator_checks_builds_each_table_once(monkeypatch):
+    calls = {"requests": 0, "builds": 0}
+
+    def counted(fn, kind):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fraccalc, "_cache", type(fraccalc._cache)())
+    monkeypatch.setattr(fraccalc, "_shared_table", counted(fraccalc._shared_table, "requests"))
+    for name in ("_build_plain_table", "_build_weighted_table"):
+        monkeypatch.setattr(fraccalc, name, counted(getattr(fraccalc, name), "builds"))
+    assert run_operator_checks().passed
+    # three families with span 1 share their meshes; four tables per n
+    assert calls == {"requests": 192, "builds": 16}
+
+
+def test_tables_are_shared_and_read_only():
+    ident = build_mesh(PsiMap("identity"), 0.0, 1.0, 48, grading=4.0)
+    power = build_mesh(PsiMap("power", rho=2.0), 0.0, 1.0, 48, grading=4.0)
+    ops = FracIntegralOperator(ident, 0.5), FracIntegralOperator(power, 0.5)
+    for weight in (0.0, 0.25):
+        first, second = (op._table(weight) for op in ops)
+        assert first is second
+        assert first.flags.writeable is False
+        with pytest.raises(ValueError):
+            first[1, 0] = 0.0
+
+
+def test_dense_table_memory_guard():
+    # refused before any table is allocated: 20001**2 doubles are 3.2 GB
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 20000)
+    with pytest.raises(DomainError, match=r"n = 20000 needs 3200320008 bytes"):
+        FracIntegralOperator(mesh, 0.5)
 
 
 def test_caputo_derivative_of_linear_profile():
