@@ -20,7 +20,10 @@ ops:
 
 # Write the CLI outputs a change must keep byte for byte: stdout, stderr and
 # exit code of each request go to $(OUT)/<request>.{out,err,exit}, so a
-# parent and a change compare with `diff -r`.  Usage: make outputs OUT=dir
+# parent and a change compare with `diff -r`.  Examples 1 and 5 also run
+# with their Lipschitz constants removed (inputs written to
+# $(OUT)/example<i>-estimated.json), which takes the estimated-constants
+# path.  Usage: make outputs OUT=dir
 outputs:
 	@test -n "$(OUT)" || { echo "usage: make outputs OUT=dir" >&2; exit 2; }
 	mkdir -p $(OUT)
@@ -33,5 +36,13 @@ outputs:
 		run perturb$$i perturb problems/example$$i.json --n 128 --trials 5; \
 	done; \
 	for i in 1 5 7; do run solve$$i-n2048 solve problems/example$$i.json --n 2048; done; \
+	for i in 1 5; do \
+		est=$(OUT)/example$$i-estimated.json; \
+		$(PY) -c 'import json, sys; d = json.load(open(sys.argv[1])); del d["lipschitz"]; json.dump(d, open(sys.argv[2], "w"), indent=2)' \
+			problems/example$$i.json $$est; \
+		run certify$$i-estimated certify $$est --json; \
+		run solve$$i-estimated-n256 solve $$est --n 256; \
+		run perturb$$i-estimated perturb $$est --n 128 --trials 5; \
+	done; \
 	run verify-ops verify-ops; \
 	run verify-ops-64-128 verify-ops --n-list 64,128

@@ -38,12 +38,10 @@ from .rhs_expr import (
 )
 from .solver import (
     CauchyProblem,
-    ContractionFactors,
     LipschitzEstimate,
     Solution,
     UniquenessCertificate,
     certify_unique,
-    contraction_factor,
     default_grading,
     estimate_lipschitz,
     picard_solve,
@@ -55,6 +53,7 @@ from .stability import (
     StabilityCertificate,
     TrialResult,
     estimate_lambda_phi,
+    lambda_phi_in_force,
     perturb_and_check,
     report_to_csv,
     uh_constant,

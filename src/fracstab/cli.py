@@ -19,9 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .errors import (
     CertificationError,
@@ -35,13 +33,13 @@ from .errors import (
     RangeError,
     SchemaError,
 )
-from .fraccalc import FracIntegralOperator, run_operator_checks
-from .psi_space import PSI_KINDS, FracOrder, PsiMap, build_mesh
+from .fraccalc import run_operator_checks
+from .psi_space import PSI_KINDS, FracOrder, Mesh, PsiMap, build_mesh
 from .rhs_expr import Expr, RESERVED_NAMES, free_variables, parse_expression
 from .solver import (
     CauchyProblem,
     Solution,
-    contraction_factor,
+    certify_unique,
     default_grading,
     estimate_lipschitz,
     picard_solve,
@@ -51,7 +49,7 @@ from .stability import (
     PERTURBATION_SHAPES,
     PerturbationSpec,
     StabilityCertificate,
-    estimate_lambda_phi,
+    lambda_phi_in_force,
     perturb_and_check,
     report_to_csv,
     uh_constant,
@@ -222,47 +220,39 @@ def _grading_from(arg: str, order: FracOrder) -> float:
         raise DomainError(f"grade must be a number or 'auto', got {arg!r}") from None
 
 
-def _usable_lipschitz(
-    p: CauchyProblem,
-) -> tuple[tuple[float, float] | None, str | None]:
-    """Declared constants when present, else an advisory estimate."""
+def _usable_lipschitz(p: CauchyProblem) -> tuple[CauchyProblem, str | None]:
+    """The problem with the constants in force, and where they come from.
+
+    Declared constants stay; otherwise an advisory estimate is put on the
+    problem.  The source is ``None`` when neither is usable.
+    """
     if p.lipschitz is not None:
-        return p.lipschitz, "declared"
+        return p, "declared"
     try:
         est = estimate_lipschitz(p)
     except (EstimationError, NonConvergenceError, DomainError) as err:
         _note(f"note: Lipschitz estimation failed: {err}")
-        return None, None
+        return p, None
     if not est.l < 1.0:
         _note(
             f"note: estimated l = {_num15(est.l)} is not below 1; "
             "constants unusable"
         )
-        return None, None
-    return (est.k, est.l), "estimated"
+        return p, None
+    return replace(p, lipschitz=(est.k, est.l)), "estimated"
 
 
-def _lambda_phi_policy(
-    p: CauchyProblem, pf: ProblemFile, operator: FracIntegralOperator
-) -> tuple[float, float, bool | None]:
-    """Mesh estimate, the coefficient to use, and declared-value soundness.
-
-    A declared coefficient is used only when it dominates the mesh
-    estimate; otherwise the estimate takes over with a warning, since a
-    too-small coefficient would certify a bound the comparison test
-    already disproves.
-    """
-    lam_hat = estimate_lambda_phi(p, pf.phi, operator.mesh, operator=operator)
-    if pf.lambda_phi is None:
-        return lam_hat, lam_hat, None
-    sound = bool(lam_hat <= pf.lambda_phi + 1e-12)
-    if not sound:
+def _lambda_phi(pf: ProblemFile, mesh: Mesh) -> tuple[float, float, bool | None]:
+    """``lambda_phi_in_force``, with a warning when the estimate takes over."""
+    lam_hat, lam_used, sound = lambda_phi_in_force(
+        pf.problem, pf.phi, pf.lambda_phi, mesh
+    )
+    if sound is False:
         _note(
             f"warning: declared lambda_phi = {_num15(pf.lambda_phi)} is below "
             f"the mesh estimate {_num15(lam_hat)}; using the estimate"
         )
-        return lam_hat, lam_hat, False
-    return lam_hat, pf.lambda_phi, True
+    return lam_hat, lam_used, sound
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +304,8 @@ def cmd_solve(args) -> int:
     pf = load_problem(args.problem)
     p = pf.problem
     mesh = build_mesh(p.psi, p.a, p.T, args.n, _grading_from(args.grade, p.order))
-    lip, source = _usable_lipschitz(p)
-    sol = picard_solve(
-        p, mesh, tol=args.tol, max_iter=args.max_iter, lipschitz=lip
-    )
+    p, source = _usable_lipschitz(p)
+    sol = picard_solve(p, mesh, tol=args.tol, max_iter=args.max_iter)
     _write_out(solution_to_csv(sol, p), args.out)
     _note(f"iterations: {sol.iterations}")
     _note(f"final update norm: {_num15(sol.final_update_norm)}")
@@ -332,41 +320,39 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     pf = load_problem(args.problem)
-    p = pf.problem
-    lip, source = _usable_lipschitz(p)
-    if lip is None:
+    p, source = _usable_lipschitz(pf.problem)
+    if source is None:
         _note("error: no usable Lipschitz constants; declare them in the file")
         return 2
-    fac = contraction_factor(p, lip)
-    certified = bool(fac.ratio < 1.0)
+    unique = certify_unique(p)
+    k, l = p.lipschitz
     info: dict[str, object] = {
-        "certified": certified,
-        "ratio": fac.ratio,
-        "factor": fac.factor,
-        "k": lip[0],
-        "l": lip[1],
+        "certified": unique.certified,
+        "ratio": unique.ratio,
+        "factor": unique.factor,
+        "k": k,
+        "l": l,
         "lipschitz_source": source,
     }
-    if certified:
-        info["c_f_uh"] = uh_constant(p, lip)
+    if unique.certified:
+        info["c_f_uh"] = uh_constant(p)
         if pf.phi is not None:
             mesh = build_mesh(p.psi, p.a, p.T, args.n, default_grading(p.order))
-            operator = FracIntegralOperator(mesh, p.order.alpha)
-            lam_hat, lam_used, sound = _lambda_phi_policy(p, pf, operator)
+            lam_hat, lam_used, sound = _lambda_phi(pf, mesh)
             info["lambda_phi_hat"] = lam_hat
             info["lambda_phi_used"] = lam_used
             if pf.lambda_phi is not None:
                 info["lambda_phi_declared"] = pf.lambda_phi
                 info["lambda_phi_sound"] = sound
-            info["c_f_uhr"] = uhr_constant(p, lam_used, lip)
+            info["c_f_uhr"] = uhr_constant(p, lam_used)
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
     else:
-        print(f"ratio: {_num15(fac.ratio)}")
-        print(f"factor: {_num15(fac.factor)}")
-        print(f"verdict: {'certified' if certified else 'not certified'}")
-        print(f"constants: k={_num15(lip[0])}, l={_num15(lip[1])} ({source})")
-        if certified:
+        print(f"ratio: {_num15(unique.ratio)}")
+        print(f"factor: {_num15(unique.factor)}")
+        print(f"verdict: {'certified' if unique.certified else 'not certified'}")
+        print(f"constants: k={_num15(k)}, l={_num15(l)} ({source})")
+        if unique.certified:
             print(f"c_f (plain): {_num15(info['c_f_uh'])}")
             if pf.phi is not None:
                 print(f"lambda_phi estimate: {_num15(info['lambda_phi_hat'])}")
@@ -376,33 +362,30 @@ def cmd_certify(args) -> int:
                         f"lambda_phi declared: {_num15(pf.lambda_phi)} ({tag})"
                     )
                 print(f"c_f (comparison-weighted): {_num15(info['c_f_uhr'])}")
-    return 0 if certified else 4
+    return 0 if unique.certified else 4
 
 
 def cmd_perturb(args) -> int:
     pf = load_problem(args.problem)
-    p = pf.problem
-    lip, source = _usable_lipschitz(p)
-    if lip is None:
+    p, source = _usable_lipschitz(pf.problem)
+    if source is None:
         _note("error: no usable Lipschitz constants; declare them in the file")
         return 2
-    fac = contraction_factor(p, lip)
-    if not fac.ratio < 1.0:
-        _note(f"not certified: ratio {_num15(fac.ratio)} is not below 1")
+    unique = certify_unique(p)
+    if not unique.certified:
+        _note(f"not certified: ratio {_num15(unique.ratio)} is not below 1")
         return 4
     mesh = build_mesh(p.psi, p.a, p.T, args.n, default_grading(p.order))
-    operator = FracIntegralOperator(mesh, p.order.alpha)
     if pf.phi is not None:
-        _, lam_used, _ = _lambda_phi_policy(p, pf, operator)
-        cert = StabilityCertificate.ulam_hyers_rassias(p, pf.phi, lam_used, lip)
+        _, lam_used, _ = _lambda_phi(pf, mesh)
+        cert = StabilityCertificate.ulam_hyers_rassias(p, pf.phi, lam_used)
     else:
-        cert = StabilityCertificate.ulam_hyers(p, lip)
+        cert = StabilityCertificate.ulam_hyers(p)
     spec = PerturbationSpec(
         epsilon=args.epsilon, shape=args.shape, trials=args.trials, seed=args.seed
     )
     report = perturb_and_check(
-        p, cert, spec, mesh, tol=args.tol, max_iter=args.max_iter,
-        operator=operator,
+        p, cert, spec, mesh, tol=args.tol, max_iter=args.max_iter
     )
     _write_out(report_to_csv(report), args.out)
     _note(

@@ -137,9 +137,6 @@ def inc_beta_lower(p: float, q: float, theta: float) -> float:
 # ---------------------------------------------------------------------------
 # the integral operator
 
-#: Largest dense table an operator may need, in bytes: n <= 11584.
-_TABLE_BYTES_MAX = 1 << 30
-
 #: Temporaries of a table build cover one block of rows of about this size.
 _BLOCK_BYTES = 256 << 10
 
@@ -163,19 +160,13 @@ class FracIntegralOperator:
     ``(psi(t_i) - psi(a))**alpha / gamma(alpha + 1)`` up to rounding,
     which is the exactness-on-constants property the tests pin down.
 
-    A table holds ``(n+1)**2`` doubles; meshes whose table would exceed
-    1 GiB (n > 11584) raise ``DomainError`` before anything is allocated.
+    A table holds ``(n+1)**2`` doubles; ``build_mesh`` refuses meshes
+    whose table would exceed 1 GiB (n > 11584).
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
         if not (0.0 < alpha and math.isfinite(alpha)):
             raise DomainError(f"integral order must be positive, got {alpha!r}")
-        nbytes = (mesh.n + 1) ** 2 * 8
-        if nbytes > _TABLE_BYTES_MAX:
-            raise DomainError(
-                f"n = {mesh.n} needs {nbytes} bytes per quadrature table, "
-                f"over the {_TABLE_BYTES_MAX} byte ceiling"
-            )
         self.mesh = mesh
         self.alpha = float(alpha)
         self._tables: dict[float, np.ndarray] = {}

@@ -28,6 +28,9 @@ __all__ = [
 
 PSI_KINDS = ("identity", "logarithm", "power")
 
+#: Largest dense quadrature table a mesh may need, in bytes: n <= 11584.
+_TABLE_BYTES_MAX = 1 << 30
+
 
 @dataclass(frozen=True)
 class PsiMap:
@@ -149,7 +152,9 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     """Construct a graded mesh of ``n`` intervals on ``[a, T]``.
 
     Endpoints are pinned exactly; interior nodes come from inverting the
-    transformed-coordinate grading formula.
+    transformed-coordinate grading formula.  Every mesh gets dense
+    ``(n+1)**2`` quadrature tables, so ``n`` whose table would exceed 1 GiB
+    (n > 11584) is refused before anything is allocated.
     """
     a = float(a)
     T = float(T)
@@ -159,6 +164,12 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
         raise DomainError(f"build_mesh needs n >= 1, got {n!r}")
     if not (math.isfinite(grading) and grading >= 1.0):
         raise DomainError(f"grading must be >= 1, got {grading!r}")
+    nbytes = (n + 1) ** 2 * 8
+    if nbytes > _TABLE_BYTES_MAX:
+        raise DomainError(
+            f"n = {n} needs {nbytes} bytes per quadrature table, "
+            f"over the {_TABLE_BYTES_MAX} byte ceiling"
+        )
     xa = psi.value(a)
     xT = psi.value(T)
     offsets = (xT - xa) * np.power(np.arange(n + 1, dtype=float) / n, grading)

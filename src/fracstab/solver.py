@@ -36,10 +36,8 @@ from .specfun import gamma_fn
 __all__ = [
     "CauchyProblem",
     "Solution",
-    "ContractionFactors",
     "UniquenessCertificate",
     "LipschitzEstimate",
-    "contraction_factor",
     "certify_unique",
     "picard_solve",
     "estimate_lipschitz",
@@ -55,7 +53,10 @@ class CauchyProblem:
     ``t = a`` (not y(a) itself, which may be infinite).  ``lipschitz`` is
     the optional pair (k, l): k bounds the sensitivity of the right-hand
     side in the y slot, l in the derivative slot; l < 1 because the
-    implicit dependence is resolved through the same fixed point.
+    implicit dependence is resolved through the same fixed point.  It is
+    the only source of constants for the contraction verdict and the
+    stability constants; try other constants on a
+    ``dataclasses.replace`` copy.
     """
 
     psi: PsiMap
@@ -87,19 +88,17 @@ class CauchyProblem:
             )
         if self.lipschitz is not None:
             k, l = self.lipschitz
-            _check_lipschitz_pair(k, l)
+            if not (math.isfinite(k) and k >= 0.0):
+                raise DomainError(
+                    f"Lipschitz constant k must be >= 0, got {k!r}",
+                    key="lipschitz.k",
+                )
+            if not (math.isfinite(l) and 0.0 <= l < 1.0):
+                raise DomainError(
+                    f"Lipschitz constant l must lie in [0, 1), got {l!r}",
+                    key="lipschitz.l",
+                )
             object.__setattr__(self, "lipschitz", (float(k), float(l)))
-
-
-def _check_lipschitz_pair(k: float, l: float) -> None:
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(
-            f"Lipschitz constant k must be >= 0, got {k!r}", key="lipschitz.k"
-        )
-    if not (math.isfinite(l) and 0.0 <= l < 1.0):
-        raise DomainError(
-            f"Lipschitz constant l must lie in [0, 1), got {l!r}", key="lipschitz.l"
-        )
 
 
 @dataclass(frozen=True)
@@ -123,60 +122,30 @@ class Solution:
 
 
 @dataclass(frozen=True)
-class ContractionFactors:
-    """Both sufficient-condition quantities; they agree on the < 1 verdict."""
-
-    factor: float  # k * X**alpha / Gamma(alpha + 1) + l
-    ratio: float  # k * X**alpha / (Gamma(alpha + 1) * (1 - l))
-
-
-@dataclass(frozen=True)
 class UniquenessCertificate:
     certified: bool
-    ratio: float
-    factor: float
+    ratio: float  # k * X**alpha / (Gamma(alpha + 1) * (1 - l))
+    factor: float  # k * X**alpha / Gamma(alpha + 1) + l
 
 
-def _require_lipschitz(
-    p: CauchyProblem, lipschitz: tuple[float, float] | None
-) -> tuple[float, float]:
-    pair = lipschitz if lipschitz is not None else p.lipschitz
-    if pair is None:
-        raise ContractError(
-            "no Lipschitz constants: declare them on the problem or pass them in"
-        )
-    k, l = float(pair[0]), float(pair[1])
-    _check_lipschitz_pair(k, l)
-    return k, l
-
-
-def contraction_factor(
-    p: CauchyProblem, lipschitz: tuple[float, float] | None = None
-) -> ContractionFactors:
-    """Contraction quantities of the fixed-point map at t = T.
+def certify_unique(p: CauchyProblem) -> UniquenessCertificate:
+    """Contraction quantities of the fixed-point map at t = T, and the verdict.
 
     ``factor`` is the plain Lipschitz bound of one Picard step; ``ratio``
     folds the derivative-slot constant into the denominator and is the
-    quantity the uniqueness verdict tests.  Both are increasing in t, so
-    the supremum over [a, T] is attained at T.
+    quantity the verdict tests: certified iff ``ratio < 1``.  Both are
+    increasing in t, so the supremum over [a, T] is attained at T.  ``not
+    certified`` never asserts nonexistence; it only means this bound does
+    not close.
     """
-    k, l = _require_lipschitz(p, lipschitz)
+    if p.lipschitz is None:
+        raise ContractError("no Lipschitz constants: declare them on the problem")
+    k, l = p.lipschitz
     span = p.psi.value(p.T) - p.psi.value(p.a)
     base = k * span ** p.order.alpha / gamma_fn(p.order.alpha + 1.0)
-    return ContractionFactors(factor=base + l, ratio=base / (1.0 - l))
-
-
-def certify_unique(
-    p: CauchyProblem, lipschitz: tuple[float, float] | None = None
-) -> UniquenessCertificate:
-    """Sufficient-condition verdict: certified iff the combined ratio < 1.
-
-    ``not certified`` never asserts nonexistence; it only means this bound
-    does not close.
-    """
-    fac = contraction_factor(p, lipschitz)
+    ratio = base / (1.0 - l)
     return UniquenessCertificate(
-        certified=bool(fac.ratio < 1.0), ratio=fac.ratio, factor=fac.factor
+        certified=bool(ratio < 1.0), ratio=ratio, factor=base + l
     )
 
 
@@ -188,29 +157,6 @@ def default_grading(order: FracOrder) -> float:
 def _check_mesh(p: CauchyProblem, mesh: Mesh) -> None:
     if mesh.psi != p.psi or mesh.a != p.a or mesh.T != p.T:
         raise ContractError("mesh does not cover this problem's interval")
-
-
-def _seed_g(
-    p: CauchyProblem,
-    mesh: Mesh,
-    dxw: np.ndarray,
-    forcing: np.ndarray | None,
-) -> np.ndarray:
-    """Initial iterate: the right-hand side along the prefactor-only y."""
-    gamma = p.order.gamma
-    t = mesh.nodes
-    pref = p.y_a / gamma_fn(gamma)
-    if p.order.weight == 0.0:
-        y_plain = np.full(mesh.n + 1, pref)
-        vals = evaluate(p.rhs, t, y_plain, np.zeros(mesh.n + 1))
-        if forcing is not None:
-            vals = vals + forcing
-        return vals
-    y_plain = pref * np.power(mesh.offsets[1:], gamma - 1.0)
-    vals = evaluate(p.rhs, t[1:], y_plain, np.zeros(mesh.n))
-    if forcing is not None:
-        vals = vals + forcing[1:]
-    return _lift_weighted(vals, dxw, mesh)
 
 
 def _lift_weighted(
@@ -236,15 +182,16 @@ def picard_solve(
     *,
     forcing: np.ndarray | None = None,
     operator: FracIntegralOperator | None = None,
-    lipschitz: tuple[float, float] | None = None,
 ) -> Solution:
     """Iterate g -> f(t, y[g], g) to a fixed point on the given mesh.
 
     ``forcing`` adds plain nodal values to the right-hand side (the
     stability harness perturbs problems this way).  ``operator`` lets the
-    caller reuse a prebuilt quadrature table for the mesh.  Stops when the
-    weighted norm of the correction drops to ``tol``; raises after
-    ``max_iter`` sweeps, carrying the last norm.
+    caller reuse a prebuilt quadrature table for the mesh.  The seed is one
+    right-hand-side step from the prefactor-only y and g = 0.  Stops when
+    the weighted norm of the correction drops to ``tol``; raises after
+    ``max_iter`` sweeps, carrying the last norm.  The reported contraction
+    factor is ``certify_unique``'s, when the problem carries constants.
     """
     _check_mesh(p, mesh)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -272,30 +219,24 @@ def picard_solve(
     dxg = np.power(mesh.offsets[1:], gamma - 1.0) if w > 0.0 else None
     pref = p.y_a / gamma_fn(gamma)
 
-    try:
-        pair = _require_lipschitz(p, lipschitz)
-    except ContractError:
-        pair = None
-    factor = None
-    if pair is not None:
-        factor = contraction_factor(p, pair).factor
+    factor = certify_unique(p).factor if p.lipschitz is not None else None
 
-    g_hat = _seed_g(p, mesh, dxw, forcing)
-    norms: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        y_hat = _reconstruct_y(op, mesh, g_hat, w, pref)
+    def rhs_step(y_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
+        """g -> f(t, y, g) plus the forcing, in the stored weighting."""
         if w == 0.0:
             vals = evaluate(p.rhs, t, y_hat, g_hat)
             if forcing is not None:
                 vals = vals + forcing
-            g_next = vals
-        else:
-            y_plain = y_hat[1:] * dxg
-            g_plain = g_hat[1:] * dxg
-            vals = evaluate(p.rhs, t[1:], y_plain, g_plain)
-            if forcing is not None:
-                vals = vals + forcing[1:]
-            g_next = _lift_weighted(vals, dxw, mesh)
+            return vals
+        vals = evaluate(p.rhs, t[1:], y_hat[1:] * dxg, g_hat[1:] * dxg)
+        if forcing is not None:
+            vals = vals + forcing[1:]
+        return _lift_weighted(vals, dxw, mesh)
+
+    g_hat = rhs_step(np.full(mesh.n + 1, pref), np.zeros(mesh.n + 1))
+    norms: list[float] = []
+    for iteration in range(1, max_iter + 1):
+        g_next = rhs_step(_reconstruct_y(op, mesh, g_hat, w, pref), g_hat)
         if not np.all(np.isfinite(g_next)):
             raise NonConvergenceError(iteration, math.inf)
         update = float(np.max(np.abs(g_next - g_hat)))

@@ -31,7 +31,7 @@ from .errors import (
 from .fraccalc import FracIntegralOperator
 from .psi_space import GridFunction, Mesh, build_mesh
 from .rhs_expr import Expr, evaluate, free_variables, to_source
-from .solver import CauchyProblem, Solution, contraction_factor, picard_solve
+from .solver import CauchyProblem, Solution, certify_unique, picard_solve
 from .specfun import gamma_fn, mittag_leffler
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "uh_constant",
     "uhr_constant",
     "estimate_lambda_phi",
+    "lambda_phi_in_force",
     "perturb_and_check",
     "report_to_csv",
     "PERTURBATION_SHAPES",
@@ -58,66 +59,52 @@ class StabilityCertificate:
     phi: Expr | None = None
 
     @classmethod
-    def ulam_hyers(
-        cls, p: CauchyProblem, lipschitz: tuple[float, float] | None = None
-    ) -> "StabilityCertificate":
-        return cls(kind="ulam_hyers", c_f=uh_constant(p, lipschitz))
+    def ulam_hyers(cls, p: CauchyProblem) -> "StabilityCertificate":
+        return cls(kind="ulam_hyers", c_f=uh_constant(p))
 
     @classmethod
     def ulam_hyers_rassias(
-        cls,
-        p: CauchyProblem,
-        phi: Expr,
-        lambda_phi: float,
-        lipschitz: tuple[float, float] | None = None,
+        cls, p: CauchyProblem, phi: Expr, lambda_phi: float
     ) -> "StabilityCertificate":
         return cls(
             kind="ulam_hyers_rassias",
-            c_f=uhr_constant(p, lambda_phi, lipschitz),
+            c_f=uhr_constant(p, lambda_phi),
             lambda_phi=float(lambda_phi),
             phi=phi,
         )
 
 
-def _certified_ratio(
-    p: CauchyProblem, lipschitz: tuple[float, float] | None
-) -> float:
-    fac = contraction_factor(p, lipschitz)
-    if not fac.ratio < 1.0:
+def _certified_ratio(p: CauchyProblem) -> float:
+    cert = certify_unique(p)
+    if not cert.certified:
         raise CertificationError(
-            "combined contraction ratio is not below 1", fac.ratio
+            "combined contraction ratio is not below 1", cert.ratio
         )
-    return fac.ratio
+    return cert.ratio
 
 
-def uh_constant(
-    p: CauchyProblem, lipschitz: tuple[float, float] | None = None
-) -> float:
+def uh_constant(p: CauchyProblem) -> float:
     """Closed-form plain stability constant, evaluated at t = T.
 
     c_f = (span**alpha / Gamma(alpha+1)) * E_alpha(k/(1-l) * span**alpha)
-    with span = psi(T) - psi(a).  Requires the contraction ratio < 1.
+    with span = psi(T) - psi(a) and (k, l) the problem's constants.
+    Requires the contraction ratio < 1.
     """
-    _certified_ratio(p, lipschitz)
-    pair = lipschitz if lipschitz is not None else p.lipschitz
-    k, l = float(pair[0]), float(pair[1])
+    _certified_ratio(p)
+    k, l = p.lipschitz
     alpha = p.order.alpha
     span = p.psi.value(p.T) - p.psi.value(p.a)
     lead = span**alpha / gamma_fn(alpha + 1.0)
     return lead * mittag_leffler(alpha, k / (1.0 - l) * span**alpha)
 
 
-def uhr_constant(
-    p: CauchyProblem,
-    lambda_phi: float,
-    lipschitz: tuple[float, float] | None = None,
-) -> float:
+def uhr_constant(p: CauchyProblem, lambda_phi: float) -> float:
     """Comparison-weighted constant: lambda_phi over one minus the ratio."""
     if not (math.isfinite(lambda_phi) and lambda_phi > 0.0):
         raise DomainError(
             f"comparison coefficient must be positive, got {lambda_phi!r}"
         )
-    ratio = _certified_ratio(p, lipschitz)
+    ratio = _certified_ratio(p)
     return lambda_phi / (1.0 - ratio)
 
 
@@ -154,14 +141,33 @@ def estimate_lambda_phi(
 ) -> float:
     """Smallest nodewise coefficient with I^alpha phi <= coeff * phi.
 
-    The max of the integral-to-function ratio over nodes past a; sound on
-    the mesh by construction.  A user-declared coefficient passes its
-    comparison test exactly when it is >= this estimate.
+    The max of the integral-to-function ratio over the nodes past a.  That
+    is a lower estimate of the true coefficient, which bounds the ratio
+    between the nodes too, so a certificate built from it can be slightly
+    too small.
     """
     vals = _phi_values(phi, mesh)
     op = operator if operator is not None else FracIntegralOperator(mesh, p.order.alpha)
     integral = op.apply(GridFunction(mesh, vals, 0.0))
     return float(np.max(integral.values[1:] / vals[1:]))
+
+
+def lambda_phi_in_force(
+    p: CauchyProblem, phi: Expr, declared: float | None, mesh: Mesh
+) -> tuple[float, float, bool | None]:
+    """Mesh estimate, the coefficient to use, and declared-value soundness.
+
+    A declared coefficient is used only when it dominates the mesh
+    estimate; otherwise the estimate takes over, since a too-small
+    coefficient would certify a bound the comparison test already
+    disproves.  Soundness is ``None`` when nothing is declared.
+    """
+    lam_hat = estimate_lambda_phi(p, phi, mesh)
+    if declared is None:
+        return lam_hat, lam_hat, None
+    if lam_hat <= declared + 1e-12:
+        return lam_hat, declared, True
+    return lam_hat, lam_hat, False
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from fracstab.stability import (
     PerturbationSpec,
     StabilityCertificate,
     estimate_lambda_phi,
+    lambda_phi_in_force,
     perturb_and_check,
 )
 
@@ -252,14 +253,11 @@ def test_criterion_6_power_family_coefficient(capsys):
     assert ok, line
 
 
-def _certificate_for(pf, mesh, operator):
-    """Mirror the command-line policy: declared coefficient only if sound."""
+def _certificate_for(pf, mesh):
+    """The command-line certificate: declared coefficient only if sound."""
     if pf.phi is None:
         return StabilityCertificate.ulam_hyers(pf.problem)
-    lam_hat = estimate_lambda_phi(pf.problem, pf.phi, mesh, operator=operator)
-    lam = pf.lambda_phi
-    if lam is None or lam_hat > lam + 1e-12:
-        lam = lam_hat
+    _, lam, _ = lambda_phi_in_force(pf.problem, pf.phi, pf.lambda_phi, mesh)
     return StabilityCertificate.ulam_hyers_rassias(pf.problem, pf.phi, lam)
 
 
@@ -275,7 +273,7 @@ def test_criterion_7_stability_dominance(capsys):
         for n in (256, 512):
             mesh = build_mesh(p.psi, p.a, p.T, n, default_grading(p.order))
             op = FracIntegralOperator(mesh, p.order.alpha)
-            cert = _certificate_for(pf, mesh, op)
+            cert = _certificate_for(pf, mesh)
             top = 0.0
             for eps in (1e-3, 1e-2):
                 spec = PerturbationSpec(

@@ -198,6 +198,54 @@ def test_solve_input_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_solve_oversized_n_exits_two(capsys):
+    # refused before the mesh allocates anything, however large n is
+    for n in (20000, 2**61):
+        assert main([
+            "solve", str(PROBLEMS / "example1.json"), "--n", str(n),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: n = {n} needs ")
+        assert captured.err.endswith(" byte ceiling\n")
+
+
+def _without_constants(tmp_path, **changes):
+    doc = json.loads((PROBLEMS / "example1.json").read_text())
+    del doc["lipschitz"]
+    doc.update(changes)
+    path = tmp_path / "estimated.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_certify_estimates_missing_constants(capsys, tmp_path):
+    assert main(["certify", _without_constants(tmp_path), "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    declared = json.loads((PROBLEMS / "example1.json").read_text())["lipschitz"]
+    assert info["lipschitz_source"] == "estimated"
+    assert info["certified"] is True
+    assert info["k"] == pytest.approx(declared["k"], abs=1e-3)
+    assert info["l"] == pytest.approx(declared["l"], abs=1e-4)
+
+
+def test_solve_reports_estimated_factor(capsys, tmp_path):
+    assert main(["solve", _without_constants(tmp_path), "--n", "32"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    factor = [line for line in err if line.startswith("contraction factor:")]
+    assert len(factor) == 1 and factor[0].endswith(" (estimated)")
+
+
+def test_certify_refuses_estimate_with_l_above_one(capsys, tmp_path):
+    path = _without_constants(tmp_path, rhs="1.5*d", parameters={})
+    assert main(["certify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "estimated l = 1.5" in captured.err
+    assert "is not below 1; constants unusable" in captured.err
+    assert "error: no usable Lipschitz constants" in captured.err
+
+
 def test_solve_nonconvergence_exit(capsys, tmp_path):
     runaway = tmp_path / "runaway.json"
     runaway.write_text(json.dumps(mutate(rhs="30*y")))

@@ -1,6 +1,7 @@
 """Problem container, contraction bookkeeping, and the fixed-point solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fracstab.rhs_expr import parse_expression
 from fracstab.solver import (
     CauchyProblem,
     certify_unique,
-    contraction_factor,
     default_grading,
     estimate_lipschitz,
     picard_solve,
@@ -68,18 +68,18 @@ def test_default_grading():
 
 def test_contraction_factor_frozen():
     pf = load_example(1)
-    fac = contraction_factor(pf.problem)
+    fac = certify_unique(pf.problem)
     assert fac.factor == pytest.approx(L_EX1, rel=1e-13)
     assert fac.ratio == pytest.approx(R_EX1, rel=1e-13)
     # no damping on the derivative slot: ratio and factor coincide at l = 0
-    fac0 = contraction_factor(pf.problem, lipschitz=(0.25, 0.0))
+    fac0 = certify_unique(replace(pf.problem, lipschitz=(0.25, 0.0)))
     assert fac0.factor == pytest.approx(fac0.ratio, rel=1e-14)
 
 
 def test_contraction_factor_needs_constants():
     p = _problem("0.5*y")
     with pytest.raises(ContractError):
-        contraction_factor(p)
+        certify_unique(p)
 
 
 def test_certify_unique_both_verdicts():

@@ -1,6 +1,7 @@
 """Stability constants, comparison-function checks, and the harness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,7 +212,9 @@ def test_understated_constants_fail_and_refine():
     # a certificate built from constants below the true slopes must be
     # caught by the harness, and the refinement pass must confirm it
     pf = load_example(1)
-    weak = StabilityCertificate.ulam_hyers(pf.problem, lipschitz=(0.01, 0.0))
+    weak = StabilityCertificate.ulam_hyers(
+        replace(pf.problem, lipschitz=(0.01, 0.0))
+    )
     mesh = _mesh_for(pf.problem, 32)
     spec = PerturbationSpec(epsilon=1e-2, shape="constant", trials=1)
     report = perturb_and_check(pf.problem, weak, spec, mesh)
