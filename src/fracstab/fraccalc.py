@@ -11,9 +11,13 @@ keeps all weights nonnegative.
 Data with a stored weight ``w = 1 - g`` is integrated against the
 singular basis on every cell: the underlying function is represented as
 ``(x - x0)**(g-1)`` times the piecewise-linear interpolant of the stored
-values, and the cell moments are incomplete beta integrals, evaluated by
-a continued fraction.  The blow-up therefore never meets a linear
-interpolant, and the rule is exact for the kernel monomial itself.
+values.  The blow-up therefore never meets a linear interpolant, and the
+rule is exact for the kernel monomial itself.  Where both singular points,
+``x0`` and the evaluation node, lie two or more cell widths from a cell,
+its moments come from an 8-point Gauss-Legendre rule, which is exact to
+rounding there; the few cells next to ``x0`` and before the evaluation
+node take them as incomplete beta integrals, evaluated by a continued
+fraction.
 
 The derivative of order ``(alpha, beta)`` is a diagnostic composition:
 integral of order ``(1-beta)(1-alpha)``, first-order derivative in the
@@ -52,7 +56,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# incomplete beta (needed by the singular first cell)
+# incomplete beta (the weighted table's cells next to x0 and X)
 
 def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
     # vectorized Lentz over a 1-d array of abscissae, scalar parameters;
@@ -143,6 +147,30 @@ _BLOCK_BYTES = 256 << 10
 #: Byte budget of the process-wide table cache; the newest table always stays.
 _CACHE_BYTES = 128 << 20
 
+#: The 8-point Gauss-Legendre rule on [0, 1]: nodes ``s_q`` and weights
+#: ``w_q``, the exact values rounded to double.  They are literals rather
+#: than ``np.polynomial.legendre.leggauss``, whose LAPACK eigensolver would
+#: tie the tables to the BLAS build.
+_GL_NODES = np.array([
+    0.019855071751231884, 0.10166676129318664, 0.2372337950418355,
+    0.4082826787521751, 0.591717321247825, 0.7627662049581645,
+    0.8983332387068134, 0.9801449282487681,
+])
+_GL_WEIGHTS = np.array([
+    0.05061426814518813, 0.11119051722668724, 0.15685332293894363,
+    0.181341891689181, 0.181341891689181, 0.15685332293894363,
+    0.11119051722668724, 0.05061426814518813,
+])
+#: Weights of the two hat moments of a cell, ``w_q (1 - s_q)`` and ``w_q s_q``.
+_GL_LEFT = _GL_WEIGHTS * (1.0 - _GL_NODES)
+_GL_RIGHT = _GL_WEIGHTS * _GL_NODES
+
+#: A weighted-table cell is integrated by the Gauss-Legendre rule when
+#: ``x0`` and the evaluation node both lie at least this many cell widths
+#: away; the rule's error then falls geometrically with the node count and
+#: reaches rounding at 8 nodes.
+_GL_SEPARATION = 2.0
+
 #: Built tables, least recently used first, keyed by everything a table
 #: depends on: ``(mesh offsets, alpha, input weight exponent)``.  A hit
 #: therefore returns the very bits a fresh build would.
@@ -228,23 +256,32 @@ def _matvec(W: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", W, u)
 
 
-def _pow_diff(B: np.ndarray, A: np.ndarray, p: float) -> np.ndarray:
-    """Stable elementwise ``A**p - B**p`` for ``0 <= B <= A``.
+def _pow_diffs(B: np.ndarray, A: np.ndarray, exponents) -> list[np.ndarray]:
+    """Stable elementwise ``A**p - B**p`` for ``0 <= B <= A``, one array per ``p``.
 
     Graded meshes put cells many orders of magnitude thinner than their
     distance to the evaluation node; the naive difference then loses all
-    its leading digits.  Writing the difference as
-    ``B**p * expm1(p * log1p((A-B)/B))`` keeps it accurate to rounding.
+    its leading digits.  Where ``(A-B)/B < 1/2`` the difference is written
+    as ``B**p * expm1(p * log1p((A-B)/B))``, which keeps it accurate to
+    rounding; elsewhere it is ``A**p - B**p``.  The ratio, the split and
+    ``log1p`` are shared by all exponents, and each branch is evaluated on
+    its own elements only.
     """
-    h = A - B
-    positive = B > 0.0
-    safe_B = np.where(positive, B, 1.0)
-    ratio = np.where(positive, h / safe_B, np.inf)
+    ratio = np.full_like(A, np.inf)
+    np.divide(A - B, B, out=ratio, where=B > 0.0)
     close = ratio < 0.5
-    safe_ratio = np.where(close, ratio, 0.0)
-    via_log = np.power(np.where(close, B, 1.0), p) * np.expm1(p * np.log1p(safe_ratio))
-    direct = np.power(A, p) - np.power(B, p)
-    return np.where(close, via_log, direct)
+    far = ~close
+    B_close = B[close]
+    log_ratio = np.log1p(ratio[close])
+    A_far = A[far]
+    B_far = B[far]
+    out = []
+    for p in exponents:
+        d = np.empty_like(A)
+        d[close] = np.power(B_close, p) * np.expm1(p * log_ratio)
+        d[far] = np.power(A_far, p) - np.power(B_far, p)
+        out.append(d)
+    return out
 
 
 def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> np.ndarray:
@@ -295,8 +332,9 @@ def _build_plain_table(mesh: Mesh, alpha: float) -> np.ndarray:
         valid = np.arange(m)[None, :] < np.arange(r0, r1)[:, None]
         A = np.where(valid, Xi - left[None, :], 1.0)
         B = np.where(valid, np.maximum(Xi - right[None, :], 0.0), 0.5)
-        d0 = _pow_diff(B, A, alpha) / alpha
-        d1 = _pow_diff(B, A, alpha + 1.0) / (alpha + 1.0)
+        d0, d1 = _pow_diffs(B, A, (alpha, alpha + 1.0))
+        d0 /= alpha
+        d1 /= alpha + 1.0
         # one-sided first moments of the kernel over each cell; they sum to h * d0
         w_left = np.maximum((d1 - B * d0) / h[None, :], 0.0)
         w_right = np.maximum((A * d0 - d1) / h[None, :], 0.0)
@@ -311,34 +349,88 @@ def _build_weighted_table(mesh: Mesh, alpha: float, gamma_u: float) -> np.ndarra
 
     Every cell is integrated against the basis
     ``(x - x0)**(g_u - 1) * {1, linear}``, so the rule is exact for the
-    singular kernel times any piecewise-linear stored factor; the
-    moments are incomplete beta integrals.
+    singular kernel times any piecewise-linear stored factor.  A cell whose
+    two singular points, ``x0`` and the evaluation node ``X``, both lie
+    ``_GL_SEPARATION`` cell widths or more away has a smooth integrand and
+    gets its two hat moments from the Gauss-Legendre rule ``_GL_NODES``;
+    ``X - x_q`` is formed as ``(X - x_l) - h * s_q``, so thin cells far from
+    ``X`` keep every digit.  Only the cells next to ``x0`` and the last few
+    before ``X`` take the moments as differences of incomplete beta
+    integrals at the cell's endpoints (``_beta_cell_moments``); their
+    ``(row, cell)`` pairs are collected over row blocks and evaluated in
+    batches whose two endpoint ratios per pair fill about ``_BLOCK_BYTES``.
+    An entry receives at most two nonzero moments, so the order in which
+    they land does not change its bits.
     """
     n = mesh.n
     dx = mesh.offsets
-    safe = np.where(dx > 0.0, dx, 1.0)[:, None]
-    pref = np.power(safe, alpha + gamma_u - 1.0) / gamma_fn(alpha)
+    ga = gamma_fn(alpha)
+    widths = dx[1:] - dx[:-1]
     V = np.zeros((n + 1, n + 1))
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
+    held = 0
     for r0, r1 in _row_blocks(n):
         m = r1 - 1
-        rows = np.arange(r0, r1)[:, None]
-        ks = np.arange(r1)[None, :]
-        safe_X = safe[r0:r1]
-        theta = np.clip(np.where(ks <= rows, dx[None, :r1] / safe_X, 1.0), 0.0, 1.0)
-        B0 = _lower_beta_many(gamma_u, alpha, theta)
-        B1 = _lower_beta_many(gamma_u + 1.0, alpha, theta)
-        valid = (ks[:, :-1] < rows) & (rows > 0)
-        dB0 = np.where(valid, B0[:, 1:] - B0[:, :-1], 0.0)
-        dB1 = np.where(valid, B1[:, 1:] - B1[:, :-1], 0.0)
-        h = (dx[1:r1] - dx[:m])[None, :]
-        xl = dx[:m][None, :]
-        xr = dx[1:r1][None, :]
-        p = pref[r0:r1]
-        c_left = np.maximum(p * (xr * dB0 - safe_X * dB1) / h, 0.0)
-        c_right = np.maximum(p * (safe_X * dB1 - xl * dB0) / h, 0.0)
-        V[r0:r1, :m] += np.where(valid, c_left, 0.0)
-        V[r0:r1, 1:r1] += np.where(valid, c_right, 0.0)
+        Xi = dx[r0:r1, None]
+        xl = dx[:m]
+        h = widths[:m]
+        valid = np.arange(m)[None, :] < np.arange(r0, r1)[:, None]
+        smooth = valid & (xl >= _GL_SEPARATION * h) & (Xi - dx[1:r1] >= _GL_SEPARATION * h)
+        # X - x_l where the rule applies; elsewhere h, which keeps the logs
+        # finite and is masked out below
+        gap = np.where(smooth, Xi - xl, h)
+        offs = h * _GL_NODES[:, None]
+        x_terms = (gamma_u - 1.0) * np.log(xl + offs)
+        acc_left = np.zeros_like(gap)
+        acc_right = np.zeros_like(gap)
+        for q in range(_GL_NODES.size):
+            f = np.log(gap - offs[q])
+            f *= alpha - 1.0
+            f += x_terms[q]
+            np.exp(f, out=f)
+            acc_left += _GL_LEFT[q] * f
+            acc_right += _GL_RIGHT[q] * f
+        scale = h / ga
+        V[r0:r1, :m] += np.where(smooth, acc_left * scale, 0.0)
+        V[r0:r1, 1:r1] += np.where(smooth, acc_right * scale, 0.0)
+        ii, jj = np.nonzero(valid & ~smooth)
+        pending.append((ii + r0, jj))
+        held += ii.size
+        if held >= _BLOCK_BYTES // 16 or r1 == n + 1:
+            rows = np.concatenate([p[0] for p in pending])
+            cells = np.concatenate([p[1] for p in pending])
+            c_left, c_right = _beta_cell_moments(dx, alpha, gamma_u, rows, cells)
+            V[rows, cells] += c_left
+            V[rows, cells + 1] += c_right
+            pending, held = [], 0
     return V
+
+
+def _beta_cell_moments(
+    dx: np.ndarray, alpha: float, gamma_u: float, rows: np.ndarray, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hat moments of the cells ``cells`` seen from the nodes ``rows``.
+
+    With ``theta = x / X`` both moments of a cell are
+    ``X**(alpha + g_u - 1) / gamma_fn(alpha)`` times a combination of the
+    differences of ``B(theta; g_u, alpha)`` and ``B(theta; g_u + 1, alpha)``
+    across the cell.  On thin cells far from ``X`` that combination cancels
+    to a few digits, which is why the table sums those by Gauss-Legendre.
+    """
+    X = dx[rows]
+    xl = dx[cells]
+    xr = dx[cells + 1]
+    k = rows.size
+    theta = np.concatenate([xl / X, xr / X])
+    B0 = _lower_beta_many(gamma_u, alpha, theta)
+    B1 = _lower_beta_many(gamma_u + 1.0, alpha, theta)
+    dB0 = B0[k:] - B0[:k]
+    dB1 = B1[k:] - B1[:k]
+    p = np.power(X, alpha + gamma_u - 1.0) / gamma_fn(alpha)
+    h = xr - xl
+    c_left = np.maximum(p * (xr * dB0 - X * dB1) / h, 0.0)
+    c_right = np.maximum(p * (X * dB1 - xl * dB0) / h, 0.0)
+    return c_left, c_right
 
 
 def frac_integral(u: GridFunction, alpha: float) -> GridFunction:

@@ -6,6 +6,7 @@ itself never imports.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -16,7 +17,7 @@ from fracstab.fraccalc import (
     DESIGN_ORDERS,
     KERNEL_NULL_TOL,
     FracIntegralOperator,
-    _pow_diff,
+    _pow_diffs,
     differentiate_integral_residual,
     frac_integral,
     gronwall_bound,
@@ -77,7 +78,7 @@ def test_pow_diff_thin_cell():
     A = B + 1e-11
     h = float(A[0] - B[0])  # the spacing as actually represented
     p = 0.3
-    got = float(_pow_diff(B, A, p)[0])
+    got = float(_pow_diffs(B, A, (p,))[0][0])
     lead = p * h  # B = 1, so the first-order term is p * h
     assert got == pytest.approx(lead, rel=1e-9)
     assert 0.0 < got < lead  # concave: the true difference sits just below
@@ -86,8 +87,8 @@ def test_pow_diff_thin_cell():
 def test_pow_diff_matches_direct_when_far():
     B = np.array([0.0, 1.0, 2.0])
     A = np.array([4.0, 9.0, 16.0])
-    got = _pow_diff(B, A, 0.5)
-    np.testing.assert_allclose(got, A ** 0.5 - B ** 0.5, rtol=1e-14)
+    for p, got in zip((0.5, 1.5), _pow_diffs(B, A, (0.5, 1.5))):
+        np.testing.assert_allclose(got, A ** p - B ** p, rtol=1e-14)
 
 
 def test_apply_plain_vanishes_at_a():
@@ -212,6 +213,85 @@ def test_table_builds_do_not_depend_on_block_size(monkeypatch, psi, a, T, block_
     monkeypatch.setattr(fraccalc, "_BLOCK_BYTES", block_rows * 8 * 101)
     assert np.array_equal(fraccalc._build_plain_table(mesh, 0.5), plain)
     assert np.array_equal(fraccalc._build_weighted_table(mesh, 0.5, 0.75), weighted)
+
+
+def test_gauss_legendre_constants():
+    # the literal rule is the 8-point Gauss-Legendre rule mapped to [0, 1]
+    with mp.workdps(40):
+        nodes, weights = mp.gauss_quadrature(8, "legendre")
+        exact_nodes = [float((1 + x) / 2) for x in nodes]
+        exact_weights = [float(w / 2) for w in weights]
+    for got, want in ((fraccalc._GL_NODES, exact_nodes), (fraccalc._GL_WEIGHTS, exact_weights)):
+        assert np.all(np.abs(got - want) <= np.spacing(np.asarray(want)))
+    assert math.fsum(fraccalc._GL_WEIGHTS) == pytest.approx(1.0, abs=2e-16)
+    x15 = float(np.dot(fraccalc._GL_WEIGHTS, fraccalc._GL_NODES ** 15))
+    assert x15 == pytest.approx(1.0 / 16.0, rel=4e-16)
+
+
+def _cell_moment(X, a, b, alpha, gamma_u, hat):
+    """mpmath quad of ``(X-x)**(alpha-1) x**(gamma_u-1) hat(x)`` over ``[a, b]``.
+
+    Each half of the cell is integrated separately; a half that ends on a
+    singular point is first mapped to a smooth integrand by
+    ``x = w**(1/gamma_u)`` or ``X - x = w**(1/alpha)``.
+    """
+    mid = (a + b) / 2
+    inv_g, inv_a = 1 / mp.mpf(gamma_u), 1 / mp.mpf(alpha)
+    if a == 0:
+        lo = mp.quad(lambda w: (X - w ** inv_g) ** (alpha - 1) * hat(w ** inv_g) * inv_g,
+                     [0, mid ** gamma_u])
+    else:
+        lo = mp.quad(lambda x: (X - x) ** (alpha - 1) * x ** (gamma_u - 1) * hat(x), [a, mid])
+    if b == X:
+        hi = mp.quad(lambda w: (X - w ** inv_a) ** (gamma_u - 1) * hat(X - w ** inv_a) * inv_a,
+                     [0, (X - mid) ** alpha])
+    else:
+        hi = mp.quad(lambda x: (X - x) ** (alpha - 1) * x ** (gamma_u - 1) * hat(x), [mid, b])
+    return lo + hi
+
+
+def _weighted_entry(offsets, i, j, alpha, gamma_u):
+    """Entry ``[i, j]`` of the weighted table to 30 digits: the hat function
+    of node ``j`` against the singular kernel, on the exact float mesh."""
+    X = mp.mpf(offsets[i])
+    total = mp.mpf(0)
+    if j >= 1:
+        a, b = mp.mpf(offsets[j - 1]), mp.mpf(offsets[j])
+        total += _cell_moment(X, a, b, alpha, gamma_u, lambda x: (x - a) / (b - a))
+    if j < i:
+        a, b = mp.mpf(offsets[j]), mp.mpf(offsets[j + 1])
+        total += _cell_moment(X, a, b, alpha, gamma_u, lambda x: (b - x) / (b - a))
+    return total / mp.gamma(alpha)
+
+
+# Example 5's mesh and order, and a strongly graded mesh with a small order.
+# Interior entries are summed by Gauss-Legendre and must be exact to
+# rounding.  The others keep incomplete beta differences; their bounds are
+# the worst sampled error of the build that took every cell that way,
+# rounded up (interior entries reached 5.1e-11 there).
+_ACCURACY_CASES = [
+    (PsiMap("logarithm"), 1.0, math.e, 4.0, 0.5, 0.5, {"zero": 9e-15, "end": 6e-12, "diagonal": 9e-13}),
+    (PsiMap("identity"), 0.0, 1.0, 8.0, 0.25, 0.75, {"zero": 2e-14, "end": 2e-12, "diagonal": 5e-14}),
+]
+_ACCURACY_SAMPLES = {
+    "interior": [(1024, 512), (1024, 64), (1024, 1016), (700, 350), (300, 150)],
+    "zero": [(1024, 0), (1024, 1), (1024, 2), (1024, 5), (512, 1), (64, 0)],
+    "end": [(1024, 1023), (1024, 1022), (512, 510), (64, 62)],
+    "diagonal": [(1024, 1024), (512, 512), (1, 1), (2, 2), (10, 10)],
+}
+
+
+@pytest.mark.parametrize("psi,a,T,grading,alpha,gamma_u,bounds", _ACCURACY_CASES)
+def test_weighted_table_entries_against_mpmath(psi, a, T, grading, alpha, gamma_u, bounds):
+    mesh = build_mesh(psi, a, T, 1024, grading)
+    V = fraccalc._build_weighted_table(mesh, alpha, gamma_u)
+    bounds = dict(bounds, interior=1e-14)
+    with mp.workdps(30):
+        for group, entries in _ACCURACY_SAMPLES.items():
+            for i, j in entries:
+                ref = _weighted_entry(mesh.offsets, i, j, alpha, gamma_u)
+                err = float(abs((mp.mpf(V[i, j]) - ref) / ref))
+                assert err <= bounds[group], (group, i, j, err)
 
 
 def test_run_operator_checks_builds_each_table_once(monkeypatch):
