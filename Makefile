@@ -23,7 +23,9 @@ ops:
 # parent and a change compare with `diff -r`.  Examples 1 and 5 also run
 # with their Lipschitz constants removed (inputs written to
 # $(OUT)/example<i>-estimated.json), which takes the estimated-constants
-# path.  Usage: make outputs OUT=dir
+# path.  Examples 1 and 7 also run perturb with understated constants (k/50,
+# l = 0; inputs in $(OUT)/example<i>-understated.json), so every trial is
+# re-run on the doubled mesh.  Usage: make outputs OUT=dir
 outputs:
 	@test -n "$(OUT)" || { echo "usage: make outputs OUT=dir" >&2; exit 2; }
 	mkdir -p $(OUT)
@@ -44,6 +46,12 @@ outputs:
 		run solve$$i-estimated-n256 solve $$est --n 256; \
 		run perturb$$i-estimated perturb $$est --n 128 --trials 5; \
 	done; \
+	for i in 1 7; do \
+		$(PY) -c 'import json, sys; d = json.load(open(sys.argv[1])); d["lipschitz"] = {"k": d["lipschitz"]["k"] / 50, "l": 0.0}; json.dump(d, open(sys.argv[2], "w"), indent=2)' \
+			problems/example$$i.json $(OUT)/example$$i-understated.json; \
+	done; \
+	run perturb1-understated perturb $(OUT)/example1-understated.json --n 32 --trials 3 --shape constant; \
+	run perturb7-understated perturb $(OUT)/example7-understated.json --n 32 --trials 3 --shape phi_scaled; \
 	run verify-ops verify-ops; \
 	run verify-ops-64-128 verify-ops --n-list 64,128
 

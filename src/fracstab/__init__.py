@@ -19,7 +19,6 @@ from .fraccalc import (
     FracIntegralOperator,
     OperatorCheckReport,
     OperatorCheckRow,
-    frac_integral,
     hilfer_derivative,
     run_operator_checks,
 )

@@ -23,14 +23,11 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     CertificationError,
-    ContractError,
-    ConvergenceError,
     DomainError,
     EstimationError,
-    EvaluationError,
+    FracstabError,
     NonConvergenceError,
     ParseError,
-    RangeError,
     SchemaError,
 )
 from .fraccalc import run_operator_checks
@@ -499,25 +496,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SchemaError,
-        DomainError,
-        RangeError,
-        ParseError,
-        ContractError,
-        EstimationError,
-        EvaluationError,
-        ConvergenceError,
-        OSError,
-    ) as err:
-        _note(f"error: {err}")
-        return 2
     except NonConvergenceError as err:
         _note(f"error: {err}")
         return 3
     except CertificationError as err:
         _note(f"error: {err}")
         return 4
+    except (FracstabError, OSError) as err:
+        _note(f"error: {err}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ __all__ = [
     "Mesh",
     "GridFunction",
     "build_mesh",
+    "default_grading",
     "PSI_KINDS",
 ]
 
@@ -114,6 +115,11 @@ class FracOrder:
         return 1.0 - self.gamma
 
 
+def default_grading(order: FracOrder) -> float:
+    """Mesh grading matched to the kernel: more clustering for smaller alpha."""
+    return max(1.0, 2.0 / order.alpha)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Graded mesh on ``[a, T]``, built in the transformed coordinate.
@@ -154,7 +160,8 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     Endpoints are pinned exactly; interior nodes come from inverting the
     transformed-coordinate grading formula.  Every mesh gets dense
     ``(n+1)**2`` quadrature tables, so ``n`` whose table would exceed 1 GiB
-    (n > 11584) is refused before anything is allocated.
+    (n > 11584) is refused before anything is allocated.  A grading so steep
+    that the first offsets underflow to zero-width cells is refused too.
     """
     a = float(a)
     T = float(T)
@@ -174,6 +181,11 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     xT = psi.value(T)
     offsets = (xT - xa) * np.power(np.arange(n + 1, dtype=float) / n, grading)
     offsets[-1] = xT - xa
+    if not np.all(np.diff(offsets) > 0.0):
+        raise DomainError(
+            f"grading {grading:g} is too steep for n = {n}: "
+            "the first cells have zero width"
+        )
     psi_nodes = xa + offsets
     nodes = np.empty(n + 1, dtype=float)
     nodes[0] = a

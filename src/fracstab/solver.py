@@ -29,7 +29,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .fraccalc import FracIntegralOperator
-from .psi_space import FracOrder, GridFunction, Mesh, PsiMap, build_mesh
+from .psi_space import FracOrder, GridFunction, Mesh, PsiMap, build_mesh, default_grading
 from .rhs_expr import Expr, evaluate, free_variables
 from .specfun import gamma_fn
 
@@ -147,11 +147,6 @@ def certify_unique(p: CauchyProblem) -> UniquenessCertificate:
     return UniquenessCertificate(
         certified=bool(ratio < 1.0), ratio=ratio, factor=base + l
     )
-
-
-def default_grading(order: FracOrder) -> float:
-    """Mesh grading matched to the kernel: more clustering for smaller alpha."""
-    return max(1.0, 2.0 / order.alpha)
 
 
 def _check_mesh(p: CauchyProblem, mesh: Mesh) -> None:

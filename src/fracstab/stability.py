@@ -11,7 +11,10 @@ bounding ``I^alpha phi <= lambda_phi * phi``.
 The harness closes the loop empirically: it manufactures admissible
 perturbations, solves the forced problem, and checks the certified bound
 nodewise.  Violations are retried at doubled resolution first, so "mesh
-too coarse" and "bound broken" stay distinguishable.
+too coarse" and "bound broken" stay distinguishable.  Each of the two
+meshes is one level: the mesh, its operator, the unperturbed solve and
+the envelope, built whole or not at all.  A trial whose solve fails, on
+either mesh, is an error row and never aborts the run.
 """
 
 from __future__ import annotations
@@ -209,7 +212,7 @@ class TrialResult:
     bound: float  # certified ceiling at the binding node
     ratio: float  # max nodewise deviation-to-ceiling ratio
     verdict: str  # "pass" | "fail" | "error"
-    refined: bool = False
+    refined: bool = False  # re-run on the doubled mesh (an error row too)
 
 
 @dataclass(frozen=True)
@@ -223,10 +226,6 @@ class PerturbationReport:
     max_ratio: float
     max_deviation: float
     passed: bool
-
-
-def _trial_seed(master: int, trial: int) -> int:
-    return int(np.random.SeedSequence(master, spawn_key=(trial,)).generate_state(1)[0])
 
 
 def _smooth_noise(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -243,41 +242,43 @@ def _smooth_noise(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _draw_perturbation(
     spec: PerturbationSpec,
-    trial: int,
-    mesh: Mesh,
+    seq: np.random.SeedSequence,
     envelope: np.ndarray,
     weighted: bool,
 ) -> np.ndarray:
     """Forcing values at the nodes, inside the admissible envelope."""
     if spec.shape == "zero":
-        return np.zeros(mesh.n + 1)
+        return np.zeros(envelope.size)
     if spec.shape == "constant":
         if weighted:
             raise ContractError(
                 "constant shape breaks the weighted envelope near t = a; "
                 "use phi_scaled or random_bounded"
             )
-        return np.full(mesh.n + 1, spec.epsilon)
+        return np.full(envelope.size, spec.epsilon)
     if spec.shape == "phi_scaled":
         if not weighted:
             raise ContractError("phi_scaled shape needs a comparison function")
         return envelope.copy()
-    rng = np.random.default_rng(
-        np.random.SeedSequence(spec.seed, spawn_key=(trial,))
-    )
-    return envelope * _smooth_noise(rng, mesh.n + 1)
+    return envelope * _smooth_noise(np.random.default_rng(seq), envelope.size)
 
 
 #: Relative slack over the certified ceiling that a trial's ratio may take.
 _ALLOWANCE = 0.05
 
 
-def _plain_deviation(z: Solution, y: Solution, mesh: Mesh, w: float) -> np.ndarray:
-    """|z - y| at the nodes past a, whatever the stored weighting."""
-    diff = np.abs(z.y.values[1:] - y.y.values[1:])
-    if w == 0.0:
-        return diff
-    return diff * np.power(mesh.offsets[1:], -w)
+@dataclass(frozen=True)
+class _Level:
+    """One mesh of the harness and what every trial on it is measured against.
+
+    ``envelope`` holds epsilon, or epsilon times the comparison function,
+    at the nodes.  A level is built whole or not at all.
+    """
+
+    mesh: Mesh
+    op: FracIntegralOperator
+    base: Solution
+    envelope: np.ndarray
 
 
 def perturb_and_check(
@@ -295,78 +296,71 @@ def perturb_and_check(
     Each trial solves the additively forced problem with the unperturbed
     initial datum and records the max nodewise ratio of |z - y| to the
     certified ceiling.  A trial passes when that ratio stays within
-    ``1 + _ALLOWANCE``; a violating trial is re-run once at doubled resolution
-    before being declared a failure.  Trials whose solve breaks down are
-    marked "error" and fail the report.
+    ``1 + _ALLOWANCE``; a violating trial is re-run once at doubled
+    resolution before being declared a failure, with the same forcing:
+    deterministic shapes are drawn again there, and the random draw is
+    interpolated in the transformed coordinate and clipped back into the
+    envelope.  Trials whose solve breaks down, on either mesh, are marked
+    "error" and fail the report.
     """
     weighted = cert.kind == "ulam_hyers_rassias"
     if weighted and cert.phi is None:
         raise ContractError("weighted certificate carries no comparison function")
-    op = operator if operator is not None else FracIntegralOperator(mesh, p.order.alpha)
-    base = picard_solve(p, mesh, tol, max_iter, operator=op)
-    envelope = (
-        spec.epsilon * _phi_values(cert.phi, mesh)
-        if weighted
-        else np.full(mesh.n + 1, spec.epsilon)
-    )
-    fine: dict[str, object] = {}
 
-    def _measure(
-        solve_mesh: Mesh,
-        solve_op: FracIntegralOperator,
-        solve_base: Solution,
-        solve_env: np.ndarray,
-        pert: np.ndarray,
-    ) -> tuple[float, float, float]:
-        z = picard_solve(p, solve_mesh, tol, max_iter, operator=solve_op, forcing=pert)
-        dev = _plain_deviation(z, solve_base, solve_mesh, p.order.weight)
-        ceiling = cert.c_f * solve_env[1:]
+    def build_level(on: Mesh, op: FracIntegralOperator | None = None) -> _Level:
+        op = op if op is not None else FracIntegralOperator(on, p.order.alpha)
+        base = picard_solve(p, on, tol, max_iter, operator=op)
+        envelope = (
+            spec.epsilon * _phi_values(cert.phi, on)
+            if weighted
+            else np.full(on.n + 1, spec.epsilon)
+        )
+        return _Level(on, op, base, envelope)
+
+    def measure(level: _Level, pert: np.ndarray) -> tuple[float, float, float]:
+        """Max plain |z - y| past a, the ceiling and the ratio at the worst node."""
+        z = picard_solve(p, level.mesh, tol, max_iter, operator=level.op, forcing=pert)
+        dev = np.abs(z.y.values[1:] - level.base.y.values[1:]) * np.power(
+            level.mesh.offsets[1:], -p.order.weight
+        )
+        ceiling = cert.c_f * level.envelope[1:]
         ratios = dev / ceiling
         at = int(np.argmax(ratios))
         return float(np.max(dev)), float(ceiling[at]), float(ratios[at])
 
+    coarse = build_level(mesh, operator)
+    fine: _Level | None = None
     rows: list[TrialResult] = []
     for trial in range(spec.trials):
-        seed = _trial_seed(spec.seed, trial)
-        pert = _draw_perturbation(spec, trial, mesh, envelope, weighted)
+        seq = np.random.SeedSequence(spec.seed, spawn_key=(trial,))
+        pert = _draw_perturbation(spec, seq, coarse.envelope, weighted)
+        refined = False
         try:
-            deviation, bound, ratio = _measure(mesh, op, base, envelope, pert)
-            refined = False
+            deviation, bound, ratio = measure(coarse, pert)
             if ratio > 1.0 + _ALLOWANCE:
-                if not fine:
-                    fine["mesh"] = build_mesh(
-                        p.psi, p.a, p.T, 2 * mesh.n, mesh.grading
-                    )
-                    fine["op"] = FracIntegralOperator(fine["mesh"], p.order.alpha)
-                    fine["base"] = picard_solve(
-                        p, fine["mesh"], tol, max_iter, operator=fine["op"]
-                    )
-                    fine["env"] = (
-                        spec.epsilon * _phi_values(cert.phi, fine["mesh"])
-                        if weighted
-                        else np.full(fine["mesh"].n + 1, spec.epsilon)
-                    )
-                pert2 = _refine_perturbation(
-                    spec, trial, mesh, pert, fine["mesh"], fine["env"], weighted
-                )
-                deviation, bound, ratio = _measure(
-                    fine["mesh"], fine["op"], fine["base"], fine["env"], pert2
-                )
                 refined = True
+                if fine is None:
+                    fine = build_level(
+                        build_mesh(p.psi, p.a, p.T, 2 * mesh.n, mesh.grading)
+                    )
+                if spec.shape == "random_bounded":
+                    pert = np.clip(
+                        np.interp(fine.mesh.offsets, mesh.offsets, pert),
+                        -fine.envelope, fine.envelope,
+                    )
+                else:
+                    pert = _draw_perturbation(spec, seq, fine.envelope, weighted)
+                deviation, bound, ratio = measure(fine, pert)
             verdict = "pass" if ratio <= 1.0 + _ALLOWANCE else "fail"
-            rows.append(
-                TrialResult(
-                    trial, seed, spec.shape, spec.epsilon,
-                    deviation, bound, ratio, verdict, refined,
-                )
-            )
         except (NonConvergenceError, EvaluationError):
-            rows.append(
-                TrialResult(
-                    trial, seed, spec.shape, spec.epsilon,
-                    math.nan, math.nan, math.nan, "error",
-                )
+            deviation = bound = ratio = math.nan
+            verdict = "error"
+        rows.append(
+            TrialResult(
+                trial, int(seq.generate_state(1)[0]), spec.shape, spec.epsilon,
+                deviation, bound, ratio, verdict, refined,
             )
+        )
     ok_rows = [r for r in rows if r.verdict != "error"]
     max_ratio = max((r.ratio for r in ok_rows), default=math.nan)
     max_dev = max((r.deviation for r in ok_rows), default=math.nan)
@@ -382,27 +376,6 @@ def perturb_and_check(
         max_deviation=max_dev,
         passed=passed,
     )
-
-
-def _refine_perturbation(
-    spec: PerturbationSpec,
-    trial: int,
-    mesh: Mesh,
-    pert: np.ndarray,
-    mesh2: Mesh,
-    envelope2: np.ndarray,
-    weighted: bool,
-) -> np.ndarray:
-    """The same perturbation on the doubled mesh.
-
-    Deterministic shapes are re-evaluated exactly; the random shape is
-    interpolated in the transformed coordinate and clipped back into the
-    envelope, so the refined trial tests the same draw, not a fresh one.
-    """
-    if spec.shape in ("zero", "constant", "phi_scaled"):
-        return _draw_perturbation(spec, trial, mesh2, envelope2, weighted)
-    interp = np.interp(mesh2.offsets, mesh.offsets, pert)
-    return np.clip(interp, -envelope2, envelope2)
 
 
 def report_to_csv(report: PerturbationReport) -> str:

@@ -210,6 +210,30 @@ def test_solve_oversized_n_exits_two(capsys):
         assert captured.err.endswith(" byte ceiling\n")
 
 
+def test_solve_too_steep_grading_exits_two(capsys):
+    # refused when the mesh is built, before numpy meets a zero-width cell
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    for i in (5, 7):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracstab", "solve",
+             str(PROBLEMS / f"example{i}.json"), "--n", "256", "--grade", "300"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: grading 300 is too steep for n = 256: "
+            "the first cells have zero width\n"
+        )
+    assert main([
+        "solve", str(PROBLEMS / "example5.json"), "--n", "256", "--grade", "130",
+    ]) == 0
+    capsys.readouterr()
+
+
 def _without_constants(tmp_path, **changes):
     doc = json.loads((PROBLEMS / "example1.json").read_text())
     del doc["lipschitz"]
@@ -324,6 +348,22 @@ def test_perturb_bound_violation_exits_five(capsys, tmp_path):
         "--shape", "constant",
     ]) == 5
     assert "verdict,fail" in capsys.readouterr().out
+
+
+def test_perturb_failed_refinement_exits_five(capsys, tmp_path):
+    # the rhs is singular at a node of the doubled mesh only, so both
+    # trials refine and fail there: error rows, not a traceback
+    doc = mutate(
+        rhs="0.1*y + 1e-9/(t - 0.0012359619140625)",
+        lipschitz={"k": 0.0001, "l": 0.0},
+    )
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    assert main([
+        "perturb", str(path), "--n", "8", "--trials", "2", "--shape", "constant",
+    ]) == 5
+    rows = capsys.readouterr().out.split("\n")[1:3]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["error", "error"]
 
 
 def test_perturb_not_certified_exits_four(capsys, tmp_path):

@@ -138,6 +138,15 @@ def test_build_mesh_validation():
         build_mesh(PsiMap("identity"), 0.0, 1.0, 8, grading=0.5)
 
 
+def test_build_mesh_refuses_zero_width_cells():
+    # (1/256)**300 underflows: the first offsets would all be 0
+    psi = PsiMap("logarithm")
+    with pytest.raises(DomainError, match="grading 300 is too steep for n = 256"):
+        build_mesh(psi, 1.0, math.e, 256, grading=300.0)
+    mesh = build_mesh(psi, 1.0, math.e, 256, grading=130.0)
+    assert np.all(np.diff(mesh.offsets) > 0.0)
+
+
 def test_mesh_same_as():
     m1 = build_mesh(PsiMap("identity"), 0.0, 1.0, 8, grading=2.0)
     m2 = build_mesh(PsiMap("identity"), 0.0, 1.0, 8, grading=2.0)

@@ -222,6 +222,32 @@ def test_understated_constants_fail_and_refine():
     assert report.max_ratio > 1.05
     assert report.rows[0].verdict == "fail"
     assert report.rows[0].refined
+    # the random draw is carried to the doubled mesh by interpolation and
+    # clipping, not drawn afresh there; the ratio below is that draw's
+    pf5 = load_example(5)
+    weak5 = StabilityCertificate.ulam_hyers_rassias(
+        pf5.problem, pf5.phi, pf5.lambda_phi / 50
+    )
+    spec5 = PerturbationSpec(epsilon=1e-2, shape="random_bounded", trials=3)
+    report5 = perturb_and_check(
+        pf5.problem, weak5, spec5, _mesh_for(pf5.problem, 32)
+    )
+    assert not report5.passed
+    assert all(r.refined and r.verdict == "fail" for r in report5.rows)
+    assert report5.rows[0].ratio == pytest.approx(6.985263249875471, rel=1e-9)
+
+
+def test_failed_refinement_gives_error_rows():
+    # the rhs is singular at t = 1/16, a node of the doubled mesh (n = 16)
+    # but not of the base one; every trial violates the understated bound,
+    # and each refinement's unperturbed solve fails
+    p = _simple("0.1*y + 1e-9/(t - 0.0625)", (0.1, 0.0))
+    weak = StabilityCertificate.ulam_hyers(replace(p, lipschitz=(1e-4, 0.0)))
+    mesh = build_mesh(p.psi, p.a, p.T, 8, 1.0)
+    spec = PerturbationSpec(epsilon=1e-2, shape="constant", trials=2)
+    report = perturb_and_check(p, weak, spec, mesh)
+    assert [r.verdict for r in report.rows] == ["error", "error"]
+    assert not report.passed
 
 
 def test_trial_error_rows():
