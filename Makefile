@@ -2,7 +2,7 @@ PY ?= python3
 CLI ?= PYTHONPATH=src $(PY) -m fracstab
 EXAMPLES := 1 2 3 4 5 6 7
 
-.PHONY: test golden ops outputs outputs-diff
+.PHONY: test golden ops outputs outputs-diff bench-tables
 
 test:
 	$(PY) -m pytest -q
@@ -111,3 +111,12 @@ export OUTPUTS_DIFF_PY
 outputs-diff:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make outputs-diff A=dir B=dir" >&2; exit 2; }
 	@$(PY) -c "$$OUTPUTS_DIFF_PY" "$(A)" "$(B)"
+
+# Time example 5's plain and weighted table builds (n = 256, 1024, 2048) and
+# the four cli-large requests, each the median of fresh processes, and write
+# them with the host's numpy, SIMD features and peak RSS to $(OUT).  BASE=dir
+# measures a checkout of another commit in alternation on the same host.
+# Usage: make bench-tables OUT=file.json [BASE=dir] [REPEATS=5]
+bench-tables:
+	@test -n "$(OUT)" || { echo "usage: make bench-tables OUT=file.json [BASE=dir]" >&2; exit 2; }
+	$(PY) tools/bench_tables.py --out $(OUT) --repeats $(or $(REPEATS),5) $(if $(BASE),--baseline $(BASE))

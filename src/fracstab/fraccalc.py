@@ -14,10 +14,13 @@ singular basis on every cell: the underlying function is represented as
 values.  The blow-up therefore never meets a linear interpolant, and the
 rule is exact for the kernel monomial itself.  Where both singular points,
 ``x0`` and the evaluation node, lie two or more cell widths from a cell,
-its moments come from an 8-point Gauss-Legendre rule, which is exact to
-rounding there; the few cells next to ``x0`` and before the evaluation
-node take them as incomplete beta integrals, evaluated by a continued
-fraction.
+its moments come from a Gauss-Legendre rule, which is exact to rounding
+there: 8 nodes from 2 widths, 4 from 33 and 3 from 170, so most cells of
+a large table need 3 or 4.  The few cells next to ``x0`` and before the
+evaluation node take them as incomplete beta integrals, evaluated by a
+continued fraction.  Both kinds of table are built in pieces of about
+256 KiB: rows of the plain table, tiles along the diagonal or down the
+columns of the weighted one.
 
 The derivative of order ``(alpha, beta)`` is a diagnostic composition:
 integral of order ``(1-beta)(1-alpha)``, first-order derivative in the
@@ -130,35 +133,52 @@ def _lower_beta_many(p: float, q: float, theta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the integral operator
 
-#: Temporaries of a table build cover one block of rows of about this size.
+#: Temporaries of a table build cover about this many bytes: one block of
+#: rows of the plain table, one tile of the weighted table.
 _BLOCK_BYTES = 256 << 10
 
 #: Byte budget of the process-wide table cache; the newest table always stays.
 _CACHE_BYTES = 128 << 20
 
-#: The 8-point Gauss-Legendre rule on [0, 1]: nodes ``s_q`` and weights
-#: ``w_q``, the exact values rounded to double.  They are literals rather
-#: than ``np.polynomial.legendre.leggauss``, whose LAPACK eigensolver would
-#: tie the tables to the BLAS build.
-_GL_NODES = np.array([
-    0.019855071751231884, 0.10166676129318664, 0.2372337950418355,
-    0.4082826787521751, 0.591717321247825, 0.7627662049581645,
-    0.8983332387068134, 0.9801449282487681,
-])
-_GL_WEIGHTS = np.array([
-    0.05061426814518813, 0.11119051722668724, 0.15685332293894363,
-    0.181341891689181, 0.181341891689181, 0.15685332293894363,
-    0.11119051722668724, 0.05061426814518813,
-])
-#: Weights of the two hat moments of a cell, ``w_q (1 - s_q)`` and ``w_q s_q``.
-_GL_LEFT = _GL_WEIGHTS * (1.0 - _GL_NODES)
-_GL_RIGHT = _GL_WEIGHTS * _GL_NODES
+#: Gauss-Legendre rules on [0, 1] for the separated cells of a weighted
+#: table, fewest nodes last: ``(separation, nodes s_q, weights w_q)``, the
+#: nodes and weights being the exact values rounded to double.  They are
+#: literals rather than ``np.polynomial.legendre.leggauss``, whose LAPACK
+#: eigensolver would tie the tables to the BLAS build.  A cell whose two
+#: singular points, ``x0`` and the evaluation node, both lie ``separation``
+#: cell widths or more away takes the rule.  Its integrand is then analytic
+#: inside the Bernstein ellipse ``rho = z + sqrt(z**2 - 1)``,
+#: ``z = 1 + 2 * separation``, and an N-point rule sums a hat moment with
+#: an error of order ``rho**(1 - 2N)`` (Trefethen, SIAM Rev. 50 (2008)
+#: 67-87): 1e-15 at 2 widths for 8 nodes and at 33 for 4, 7e-15 at 170 for
+#: 3.  For kernel exponents of size 1/2 one moment errs by 2e-16, 5e-16 and
+#: 1.2e-15; neighbouring cells err alike and cancel in a table entry.
+_GL_RULES = (
+    (2.0, np.array([
+        0.019855071751231884, 0.10166676129318664, 0.2372337950418355,
+        0.4082826787521751, 0.591717321247825, 0.7627662049581645,
+        0.8983332387068134, 0.9801449282487681,
+    ]), np.array([
+        0.05061426814518813, 0.11119051722668724, 0.15685332293894363,
+        0.181341891689181, 0.181341891689181, 0.15685332293894363,
+        0.11119051722668724, 0.05061426814518813,
+    ])),
+    (33.0, np.array([
+        0.06943184420297371, 0.33000947820757187, 0.6699905217924281,
+        0.9305681557970263,
+    ]), np.array([
+        0.17392742256872692, 0.32607257743127305, 0.32607257743127305,
+        0.17392742256872692,
+    ])),
+    (170.0, np.array([
+        0.11270166537925831, 0.5, 0.8872983346207417,
+    ]), np.array([
+        0.2777777777777778, 0.4444444444444444, 0.2777777777777778,
+    ])),
+)
 
-#: A weighted-table cell is integrated by the Gauss-Legendre rule when
-#: ``x0`` and the evaluation node both lie at least this many cell widths
-#: away; the rule's error then falls geometrically with the node count and
-#: reaches rounding at 8 nodes.
-_GL_SEPARATION = 2.0
+#: Cells per column panel of a weighted-table tile.
+_PANEL_CELLS = 128
 
 #: Built tables, least recently used first, keyed by everything a table
 #: depends on: ``(mesh offsets, alpha, input weight exponent)``.  A hit
@@ -252,23 +272,25 @@ def _pow_diffs(B: np.ndarray, A: np.ndarray, exponents) -> list[np.ndarray]:
     distance to the evaluation node; the naive difference then loses all
     its leading digits.  Where ``(A-B)/B < 1/2`` the difference is written
     as ``B**p * expm1(p * log1p((A-B)/B))``, which keeps it accurate to
-    rounding; elsewhere it is ``A**p - B**p``.  The ratio, the split and
-    ``log1p`` are shared by all exponents, and each branch is evaluated on
-    its own elements only.
+    rounding; elsewhere it is ``A**p - B**p``.  The first form runs over
+    every element, with a finite stand-in ratio on the others, and only the
+    few others (next to the evaluation node in a table) are gathered for
+    the second; each element still gets exactly one of the two forms.
     """
     ratio = np.full_like(A, np.inf)
     np.divide(A - B, B, out=ratio, where=B > 0.0)
-    close = ratio < 0.5
-    far = ~close
-    B_close = B[close]
-    log_ratio = np.log1p(ratio[close])
-    A_far = A[far]
-    B_far = B[far]
+    far = np.flatnonzero(~(ratio < 0.5))
+    A_far = A.ravel()[far]
+    B_far = B.ravel()[far]
+    np.minimum(ratio, 0.5, out=ratio)
+    log_ratio = np.log1p(ratio, out=ratio)
+    scaled = np.empty_like(ratio)
     out = []
     for p in exponents:
-        d = np.empty_like(A)
-        d[close] = np.power(B_close, p) * np.expm1(p * log_ratio)
-        d[far] = np.power(A_far, p) - np.power(B_far, p)
+        d = np.power(B, p)
+        np.multiply(log_ratio, p, out=scaled)
+        d *= np.expm1(scaled, out=scaled)
+        d.ravel()[far] = np.power(A_far, p) - np.power(B_far, p)
         out.append(d)
     return out
 
@@ -307,29 +329,49 @@ def _row_blocks(n: int):
 
 
 def _build_plain_table(mesh: Mesh, alpha: float) -> np.ndarray:
-    """Product-integration table acting on plain samples."""
+    """Product-integration table acting on plain samples.
+
+    Each row block evaluates its cells' kernel moments densely, in place;
+    only the few cells next to each row's node (``_pow_diffs``' far ones)
+    and past it are handled apart, so the block moves no gathered copies of
+    its majority.
+    """
     X = mesh.offsets
     n = mesh.n
     ga = gamma_fn(alpha)
     W = np.zeros((n + 1, n + 1))
     for r0, r1 in _row_blocks(n):
         m = r1 - 1
-        left = X[:m]
-        right = X[1:r1]
-        h = right - left
-        Xi = X[r0:r1, None]
-        valid = np.arange(m)[None, :] < np.arange(r0, r1)[:, None]
-        A = np.where(valid, Xi - left[None, :], 1.0)
-        B = np.where(valid, np.maximum(Xi - right[None, :], 0.0), 0.5)
+        if m == 0:
+            continue
+        h = X[1:r1] - X[:m]
+        A = X[r0:r1, None] - X[:m]
+        B = X[r0:r1, None] - X[1:r1]
+        # from cell r0 on, a row meets cells past its own node, which it does
+        # not read: the stand-ins A = 1, B = 1/2 keep them finite, and their
+        # moments are dropped below
+        past = np.arange(r0, m) >= np.arange(r0, r1)[:, None]
+        np.maximum(B[:, r0:], 0.0, out=B[:, r0:])
+        np.copyto(A[:, r0:], 1.0, where=past)
+        np.copyto(B[:, r0:], 0.5, where=past)
         d0, d1 = _pow_diffs(B, A, (alpha, alpha + 1.0))
         d0 /= alpha
         d1 /= alpha + 1.0
         # one-sided first moments of the kernel over each cell; they sum to h * d0
-        w_left = np.maximum((d1 - B * d0) / h[None, :], 0.0)
-        w_right = np.maximum((A * d0 - d1) / h[None, :], 0.0)
-        W[r0:r1, :m] += np.where(valid, w_left, 0.0)
-        W[r0:r1, 1:r1] += np.where(valid, w_right, 0.0)
-        W[r0:r1, :r1] /= ga
+        B *= d0
+        np.subtract(d1, B, out=B)
+        B /= h
+        w_left = np.maximum(B, 0.0, out=B)
+        A *= d0
+        A -= d1
+        A /= h
+        w_right = np.maximum(A, 0.0, out=A)
+        np.copyto(w_left[:, r0:], 0.0, where=past)
+        np.copyto(w_right[:, r0:], 0.0, where=past)
+        # entry j takes cell j's left moment and cell j - 1's right one
+        w_left[:, 1:] += w_right[:, :-1]
+        np.divide(w_left, ga, out=W[r0:r1, :m])
+        np.divide(w_right[:, -1], ga, out=W[r0:r1, m])
     return W
 
 
@@ -339,60 +381,152 @@ def _build_weighted_table(mesh: Mesh, alpha: float, gamma_u: float) -> np.ndarra
     Every cell is integrated against the basis
     ``(x - x0)**(g_u - 1) * {1, linear}``, so the rule is exact for the
     singular kernel times any piecewise-linear stored factor.  A cell whose
-    two singular points, ``x0`` and the evaluation node ``X``, both lie
-    ``_GL_SEPARATION`` cell widths or more away has a smooth integrand and
-    gets its two hat moments from the Gauss-Legendre rule ``_GL_NODES``;
-    ``X - x_q`` is formed as ``(X - x_l) - h * s_q``, so thin cells far from
-    ``X`` keep every digit.  Only the cells next to ``x0`` and the last few
-    before ``X`` take the moments as differences of incomplete beta
-    integrals at the cell's endpoints (``_beta_cell_moments``); their
-    ``(row, cell)`` pairs are collected over row blocks and evaluated in
-    batches whose two endpoint ratios per pair fill about ``_BLOCK_BYTES``.
-    An entry receives at most two nonzero moments, so the order in which
-    they land does not change its bits.
+    two singular points, ``x0`` and the evaluation node ``X``, both lie two
+    cell widths or more away has a smooth integrand and gets its two hat
+    moments from the rule of ``_GL_RULES`` with the fewest nodes that its
+    nearer singular point allows: 8 nodes from 2 widths, 4 from 33, 3 from
+    170.  Those reduced separations assume kernel exponents ``alpha - 1``
+    and ``g_u - 1`` of size at most 1; larger ones stretch them in
+    proportion.  ``X - x_q`` is formed as ``(X - x_l) - h * s_q``, so thin
+    cells far from ``X`` keep every digit.
+
+    A cell's distance from ``x0`` fixes the last rule it may take, for every
+    row; its distance from ``X`` grows down its column, so each rule holds
+    on one range of rows per cell (``_first_rows``), and the rules are
+    summed by ``_gauss_panel`` on tiles of about ``_BLOCK_BYTES``.  Only the
+    cells next to ``x0`` and the last few before ``X`` take the moments as
+    differences of incomplete beta integrals at the cell's endpoints
+    (``_beta_cell_moments``), in batches whose two endpoint ratios per
+    ``(row, cell)`` pair fill about ``_BLOCK_BYTES``.  An entry receives at
+    most two nonzero moments, so the order in which they land does not
+    change its bits, and neither do the tile and batch sizes.
     """
     n = mesh.n
     dx = mesh.offsets
-    ga = gamma_fn(alpha)
-    widths = dx[1:] - dx[:-1]
+    h = dx[1:] - dx[:-1]
     V = np.zeros((n + 1, n + 1))
-    pending: list[tuple[np.ndarray, np.ndarray]] = []
-    held = 0
-    for r0, r1 in _row_blocks(n):
-        m = r1 - 1
-        Xi = dx[r0:r1, None]
-        xl = dx[:m]
-        h = widths[:m]
-        valid = np.arange(m)[None, :] < np.arange(r0, r1)[:, None]
-        smooth = valid & (xl >= _GL_SEPARATION * h) & (Xi - dx[1:r1] >= _GL_SEPARATION * h)
-        # X - x_l where the rule applies; elsewhere h, which keeps the logs
-        # finite and is masked out below
-        gap = np.where(smooth, Xi - xl, h)
-        offs = h * _GL_NODES[:, None]
-        x_terms = (gamma_u - 1.0) * np.log(xl + offs)
-        acc_left = np.zeros_like(gap)
-        acc_right = np.zeros_like(gap)
-        for q in range(_GL_NODES.size):
-            f = np.log(gap - offs[q])
-            f *= alpha - 1.0
-            f += x_terms[q]
-            np.exp(f, out=f)
-            acc_left += _GL_LEFT[q] * f
-            acc_right += _GL_RIGHT[q] * f
-        scale = h / ga
-        V[r0:r1, :m] += np.where(smooth, acc_left * scale, 0.0)
-        V[r0:r1, 1:r1] += np.where(smooth, acc_right * scale, 0.0)
-        ii, jj = np.nonzero(valid & ~smooth)
-        pending.append((ii + r0, jj))
-        held += ii.size
-        if held >= _BLOCK_BYTES // 16 or r1 == n + 1:
-            rows = np.concatenate([p[0] for p in pending])
-            cells = np.concatenate([p[1] for p in pending])
-            c_left, c_right = _beta_cell_moments(dx, alpha, gamma_u, rows, cells)
-            V[rows, cells] += c_left
-            V[rows, cells + 1] += c_right
-            pending, held = [], 0
+    # per rule, the reach of each cell in widths; a cell's last rule is the
+    # last one it reaches from x0 (-1: none), and each rule starts on the
+    # first row whose node it reaches
+    stretch = max(1.0, abs(alpha - 1.0), abs(gamma_u - 1.0))
+    reach = [sep * (stretch if k else 1.0) * h for k, (sep, _, _) in enumerate(_GL_RULES)]
+    last = sum((dx[:-1] >= r).astype(int) for r in reach) - 1
+    starts = [_first_rows(dx, r) for r in reach]
+
+    # cell j takes incomplete beta integrals on rows j + 1 up to where its
+    # first rule starts, or on every row when it is too close to x0
+    counts = np.where(last >= 0, starts[0], n + 1) - np.arange(1, n + 1)
+    cells = np.repeat(np.arange(n), counts)
+    rows = cells + 1 + np.arange(cells.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    batch = max(1, _BLOCK_BYTES // 16)
+    for b0 in range(0, cells.size, batch):
+        ii, jj = rows[b0:b0 + batch], cells[b0:b0 + batch]
+        c_left, c_right = _beta_cell_moments(dx, alpha, gamma_u, ii, jj)
+        V[ii, jj] += c_left
+        V[ii, jj + 1] += c_right
+
+    # column panels of _PANEL_CELLS cells that share their last rule
+    workspace = np.empty((5, max(1, min(_BLOCK_BYTES // 8, (n + 1) * _PANEL_CELLS))))
+    edges = sorted({*range(0, n, _PANEL_CELLS), *(np.flatnonzero(np.diff(last)) + 1).tolist()})
+    for c0, c1 in zip(edges, edges[1:] + [n]):
+        for k in range(last[c0] + 1):
+            band = k < last[c0]
+            stop = starts[k + 1][c0:c1] if band else np.full(c1 - c0, n + 1)
+            _gauss_panel(V, dx, c0, c1, starts[k][c0:c1], stop, _GL_RULES[k],
+                         alpha, gamma_u, workspace, band)
     return V
+
+
+def _gauss_panel(V, dx, c0, c1, lo, hi, rule, alpha, gamma_u, workspace, shear) -> None:
+    """Add one rule's hat moments of cells ``c0 <= j < c1`` to ``V``.
+
+    Cell ``j`` takes the rule on rows ``lo[j - c0] <= i < hi[j - c0]``.
+    Tile row ``r`` holds the entries ``(r, j)``, or with ``shear`` the
+    entries ``(r + j - c0, j)``, which follow the diagonal: a band of rows
+    at a near-constant distance below it, as every rule but a cell's last
+    one takes, then fills its tiles with few entries outside it.  The rows
+    are cut into tiles whose entries fill one row of ``workspace``; rows
+    where every cell takes the rule need no mask, and the tiles above and
+    below them drop the entries outside each cell's range.  A band that
+    reaches the last row of ``V`` is tiled without shear.
+    """
+    _, nodes, weights = rule
+    n1 = V.shape[0]
+    width = c1 - c0
+    if shear and int((hi - np.arange(width)).max()) + width - 2 >= n1:
+        shear = False
+    if shear:
+        lo = lo - np.arange(width)
+        hi = hi - np.arange(width)
+    xl = dx[c0:c1]
+    h = dx[c0 + 1:c1 + 1] - xl
+    offs = h * nodes[:, None]
+    # x_q**(g_u - 1) * w_q * h / gamma(alpha), one factor per node and cell
+    dens = np.power(xl + offs, gamma_u - 1.0)
+    dens *= weights[:, None] * (h / gamma_fn(alpha))
+    core0, core1 = int(lo.max()), int(hi.min())
+    top, bottom = int(lo.min()), int(hi.max())
+    if core0 < core1:
+        pieces = ((top, core0, True), (core0, core1, False), (core1, bottom, True))
+    else:
+        pieces = ((top, bottom, True),)
+    step = max(1, workspace.shape[1] // width)
+    flat = V.reshape(-1)
+    # element strides of the tile's rows and cells in dx and in V
+    x_step, v_step = (1, n1 + 1) if shear else (0, 1)
+    for p0, p1, masked in pieces:
+        for r0 in range(p0, p1, step):
+            rows = min(step, p1 - r0)
+            gap, f, t, acc_left, acc_right = (
+                w[: rows * width].reshape(rows, width) for w in workspace
+            )
+            X = np.lib.stride_tricks.as_strided(
+                dx[r0:], (rows, width), (dx.itemsize, x_step * dx.itemsize), writeable=False
+            )
+            np.subtract(X, xl, out=gap)
+            if masked:
+                # rows above the panel's diagonal get a positive stand-in
+                np.maximum(gap, h, out=gap)
+            acc_left.fill(0.0)
+            acc_right.fill(0.0)
+            for q, s_q in enumerate(nodes):
+                np.subtract(gap, offs[q], out=f)
+                np.log(f, out=f)
+                f *= alpha - 1.0
+                np.exp(f, out=f)
+                f *= dens[q]
+                np.multiply(f, 1.0 - s_q, out=t)
+                acc_left += t
+                f *= s_q
+                acc_right += f
+            if masked:
+                r = np.arange(r0, r0 + rows)[:, None]
+                inside = (r >= lo) & (r < hi)
+                acc_left *= inside
+                acc_right *= inside
+            # cell j's left moment lands on entry j of its row, the right
+            # one on entry j + 1
+            for acc, col in ((acc_left, c0), (acc_right, c0 + 1)):
+                entries = np.lib.stride_tricks.as_strided(
+                    flat[r0 * n1 + col:], (rows, width), (n1 * flat.itemsize, v_step * flat.itemsize)
+                )
+                entries += acc
+
+
+def _first_rows(dx: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Per cell ``j``, the first row ``i`` with ``dx[i] - dx[j+1] >= reach[j]``.
+
+    ``len(dx)`` where no row qualifies.  The test is monotone in ``i``, so a
+    search on ``dx[j+1] + reach[j]`` lands within a step of its first row.
+    """
+    right = dx[1:]
+    s = np.searchsorted(dx, right + reach)
+    while True:
+        back = (s > 0) & (dx[np.maximum(s - 1, 0)] - right >= reach)
+        fwd = (s < dx.size) & ~(dx[np.minimum(s, dx.size - 1)] - right >= reach)
+        if not (back.any() or fwd.any()):
+            return s
+        s = s - back + fwd
 
 
 def _beta_cell_moments(

@@ -207,26 +207,41 @@ def test_beta_fraction_stall_raises():
 )
 @pytest.mark.parametrize("block_rows", [1, 7])
 def test_table_builds_do_not_depend_on_block_size(monkeypatch, psi, a, T, block_rows):
-    # n + 1 = 101 rows: one default block, or 101 and 15 (the last one short)
-    mesh = build_mesh(psi, a, T, 100, grading=4.0)
-    plain = fraccalc._build_plain_table(mesh, 0.5)
-    weighted = fraccalc._build_weighted_table(mesh, 0.5, 0.75)
-    monkeypatch.setattr(fraccalc, "_BLOCK_BYTES", block_rows * 8 * 101)
-    assert np.array_equal(fraccalc._build_plain_table(mesh, 0.5), plain)
-    assert np.array_equal(fraccalc._build_weighted_table(mesh, 0.5, 0.75), weighted)
+    # n = 100: one default block, or blocks of 101 and 15 rows (the last one
+    # short).  n = 1024 with grading 4 has every Gauss-Legendre rule, by the
+    # distance from x0 and from the evaluation node, the plain table's far
+    # band and several incomplete beta batches; its tiles shrink to 101 or
+    # 707 entries on panels of 9 or 39 cells.
+    for n in (100, 1024):
+        mesh = build_mesh(psi, a, T, n, grading=4.0)
+        with monkeypatch.context() as patch:
+            plain = fraccalc._build_plain_table(mesh, 0.5)
+            weighted = fraccalc._build_weighted_table(mesh, 0.5, 0.75)
+            patch.setattr(fraccalc, "_BLOCK_BYTES", block_rows * 8 * 101)
+            patch.setattr(fraccalc, "_PANEL_CELLS", 5 * block_rows + 4)
+            assert np.array_equal(fraccalc._build_plain_table(mesh, 0.5), plain)
+            assert np.array_equal(fraccalc._build_weighted_table(mesh, 0.5, 0.75), weighted)
 
 
 def test_gauss_legendre_constants():
-    # the literal rule is the 8-point Gauss-Legendre rule mapped to [0, 1]
-    with mp.workdps(40):
-        nodes, weights = mp.gauss_quadrature(8, "legendre")
-        exact_nodes = [float((1 + x) / 2) for x in nodes]
-        exact_weights = [float(w / 2) for w in weights]
-    for got, want in ((fraccalc._GL_NODES, exact_nodes), (fraccalc._GL_WEIGHTS, exact_weights)):
-        assert np.all(np.abs(got - want) <= np.spacing(np.asarray(want)))
-    assert math.fsum(fraccalc._GL_WEIGHTS) == pytest.approx(1.0, abs=2e-16)
-    x15 = float(np.dot(fraccalc._GL_WEIGHTS, fraccalc._GL_NODES ** 15))
-    assert x15 == pytest.approx(1.0 / 16.0, rel=4e-16)
+    # each literal rule is the Gauss-Legendre rule of its size mapped to [0, 1]
+    sizes = []
+    for _, nodes, weights in fraccalc._GL_RULES:
+        size = nodes.size
+        sizes.append(size)
+        with mp.workdps(40):
+            exact_nodes, exact_weights = mp.gauss_quadrature(size, "legendre")
+            exact_nodes = [float((1 + x) / 2) for x in exact_nodes]
+            exact_weights = [float(w / 2) for w in exact_weights]
+        for got, want in ((nodes, exact_nodes), (weights, exact_weights)):
+            assert np.all(np.abs(got - want) <= np.spacing(np.asarray(want))), size
+        assert math.fsum(weights) == pytest.approx(1.0, abs=2e-16)
+        top = float(np.dot(weights, nodes ** (2 * size - 1)))
+        assert top == pytest.approx(1.0 / (2 * size), rel=4e-16), size
+    # fewer nodes as the separation grows
+    assert sizes == sorted(sizes, reverse=True)
+    separations = [sep for sep, _, _ in fraccalc._GL_RULES]
+    assert separations == sorted(separations)
 
 
 def _cell_moment(X, a, b, alpha, gamma_u, hat):
@@ -267,9 +282,14 @@ def _weighted_entry(offsets, i, j, alpha, gamma_u):
 
 # Example 5's mesh and order, and a strongly graded mesh with a small order.
 # Interior entries are summed by Gauss-Legendre and must be exact to
-# rounding.  The others keep incomplete beta differences; their bounds are
-# the worst sampled error of the build that took every cell that way,
-# rounded up (interior entries reached 5.1e-11 there).
+# rounding; "tiers" samples the reduced-node rules (4 and 3 nodes on
+# example 5's mesh, 4 on the other) and both sides of each boundary between
+# rules, by the distance from x0 (columns 134, 268 and 682) and from the
+# evaluation node (down column 800), and the last Gauss-Legendre cells
+# before the incomplete beta ones.  The others keep incomplete beta
+# differences; their bounds are the worst sampled error of the build that
+# took every cell that way, rounded up (interior entries reached 5.1e-11
+# there).
 _ACCURACY_CASES = [
     (PsiMap("logarithm"), 1.0, math.e, 4.0, 0.5, 0.5, {"zero": 9e-15, "end": 6e-12, "diagonal": 9e-13}),
     (PsiMap("identity"), 0.0, 1.0, 8.0, 0.25, 0.75, {"zero": 2e-14, "end": 2e-12, "diagonal": 5e-14}),
@@ -279,6 +299,13 @@ _ACCURACY_SAMPLES = {
     "zero": [(1024, 0), (1024, 1), (1024, 2), (1024, 5), (512, 1), (64, 0)],
     "end": [(1024, 1023), (1024, 1022), (512, 510), (64, 62)],
     "diagonal": [(1024, 1024), (512, 512), (1, 1), (2, 2), (10, 10)],
+    "tiers": [
+        (1024, 700), (1024, 800), (1024, 950), (1024, 200),
+        (1024, 133), (1024, 134), (1024, 135), (1024, 267), (1024, 268), (1024, 269),
+        (1024, 681), (1024, 682), (1024, 683),
+        (829, 800), (830, 800), (831, 800), (832, 800), (833, 800), (834, 800),
+        (933, 800), (934, 800), (935, 800), (1024, 1021), (1024, 22),
+    ],
 }
 
 
@@ -286,13 +313,53 @@ _ACCURACY_SAMPLES = {
 def test_weighted_table_entries_against_mpmath(psi, a, T, grading, alpha, gamma_u, bounds):
     mesh = build_mesh(psi, a, T, 1024, grading)
     V = fraccalc._build_weighted_table(mesh, alpha, gamma_u)
-    bounds = dict(bounds, interior=1e-14)
+    bounds = dict(bounds, interior=1e-14, tiers=1e-15)
     with mp.workdps(30):
         for group, entries in _ACCURACY_SAMPLES.items():
             for i, j in entries:
                 ref = _weighted_entry(mesh.offsets, i, j, alpha, gamma_u)
                 err = float(abs((mp.mpf(V[i, j]) - ref) / ref))
                 assert err <= bounds[group], (group, i, j, err)
+
+
+@pytest.mark.parametrize("psi,a,T,grading,alpha,gamma_u,bounds", _ACCURACY_CASES)
+def test_weighted_table_rule_boundaries_against_mpmath(psi, a, T, grading, alpha, gamma_u, bounds):
+    # An entry sums the hat moments of two neighbouring cells, whose rule
+    # errors cancel when they take the same rule.  Where the rules change,
+    # wherever the separations put that, each side must be exact to rounding
+    # on its own: down three columns (by the distance from the evaluation
+    # node) and along the last row (by the distance from x0).
+    n = 1024
+    mesh = build_mesh(psi, a, T, n, grading)
+    V = fraccalc._build_weighted_table(mesh, alpha, gamma_u)
+    dx = mesh.offsets
+    h = np.diff(dx)
+    entries = set()
+    for sep, _, _ in fraccalc._GL_RULES[1:]:
+        reach = sep * h
+        starts = fraccalc._first_rows(dx, reach)
+        for j in (300, 700, 900):
+            entries |= {(i, j) for i in range(starts[j] - 1, starts[j] + 2) if i <= n}
+        first = int(np.argmax(dx[:-1] >= reach))
+        if dx[first] >= reach[first]:
+            entries |= {(n, first - 1), (n, first), (n, first + 1)}
+    with mp.workdps(30):
+        for i, j in sorted(entries):
+            ref = _weighted_entry(dx, i, j, alpha, gamma_u)
+            err = float(abs((mp.mpf(V[i, j]) - ref) / ref))
+            assert err <= 1e-15, (i, j, err)
+
+
+def test_weighted_table_large_order_against_mpmath():
+    # a kernel exponent of 19 stretches the reduced rules' separations; at
+    # 33 widths the 4-node rule would miss entry [161, 136] by 4e-11
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 256, 4.0)
+    V = fraccalc._build_weighted_table(mesh, 20.0, 0.5)
+    with mp.workdps(30):
+        for i, j in ((161, 136), (200, 150), (256, 200), (256, 128)):
+            ref = _weighted_entry(mesh.offsets, i, j, 20.0, 0.5)
+            err = float(abs((mp.mpf(V[i, j]) - ref) / ref))
+            assert err <= 1e-14, (i, j, err)
 
 
 def test_run_operator_checks_builds_each_table_once(monkeypatch):
