@@ -11,8 +11,9 @@ Every number is the median wall time of fresh Python processes:
 
 Each entry also records the peak RSS of its processes.  With
 ``--baseline DIR`` (a checkout of another commit) both trees are measured
-in alternation on the same host, and the JSON gains the baseline/change
-ratio of every median.  Children run with one BLAS and OpenMP thread.
+on the same host, back to back per number and in alternating order, and
+the JSON gains the baseline/change ratios of every number.  Children run
+with one BLAS and OpenMP thread.
 
     python tools/bench_tables.py --out BENCH.json [--baseline DIR] [--repeats 5]
 """
@@ -106,18 +107,25 @@ def _summary(runs: list[float], rss: list[float]) -> dict:
     return {"median_s": statistics.median(runs), "runs_s": runs, "peak_rss_mb": max(rss)}
 
 
+def _jobs() -> list[tuple[tuple[str, ...], list[str]]]:
+    jobs = [(("builds", kind, str(n)), [sys.executable, "-c", BUILD, kind, str(n)])
+            for kind in ("plain", "weighted") for n in SIZES]
+    jobs += [(("cli_large", name), [sys.executable, "-m", "fracstab", *args])
+             for name, args in REQUESTS.items()]
+    return jobs
+
+
 def measure(trees: dict[str, Path], repeats: int) -> dict:
-    samples = {label: {} for label in trees}
-    for _ in range(repeats):
-        for label, tree in trees.items():
-            got = samples[label]
-            for kind in ("plain", "weighted"):
-                for n in SIZES:
-                    _, out, rss = _run(tree, [sys.executable, "-c", BUILD, kind, str(n)])
-                    got.setdefault(("builds", kind, str(n)), []).append((float(out), rss))
-            for name, args in REQUESTS.items():
-                wall, _, rss = _run(tree, [sys.executable, "-m", "fracstab", *args])
-                got.setdefault(("cli_large", name), []).append((wall, rss))
+    """Per tree, the summary of every job; the trees of one job run back to
+    back, each repeat in the other order, so host drift hits both alike."""
+    labels = list(trees)
+    samples = {label: {} for label in labels}
+    for rep in range(repeats):
+        for key, argv in _jobs():
+            for label in labels if rep % 2 == 0 else labels[::-1]:
+                wall, out, rss = _run(trees[label], argv)
+                took = float(out) if key[0] == "builds" else wall
+                samples[label].setdefault(key, []).append((took, rss))
     result = {}
     for label, got in samples.items():
         entry = {"git_sha": _sha(trees[label]), "builds": {}, "cli_large": {}}
@@ -131,8 +139,15 @@ def measure(trees: dict[str, Path], repeats: int) -> dict:
 
 
 def _ratios(base: dict, change: dict) -> dict:
+    """Baseline over change per job: the ratio of the medians, the median of
+    the per-repeat ratios and how many repeats the change won."""
     if "median_s" in base:
-        return round(base["median_s"] / change["median_s"], 3)
+        pairs = [b / c for b, c in zip(base["runs_s"], change["runs_s"])]
+        return {
+            "of_medians": round(base["median_s"] / change["median_s"], 3),
+            "median_of_pairs": round(statistics.median(pairs), 3),
+            "change_won": f"{sum(r > 1.0 for r in pairs)}/{len(pairs)}",
+        }
     return {k: _ratios(base[k], change[k]) for k in base}
 
 
