@@ -55,62 +55,11 @@ outputs:
 	run verify-ops verify-ops; \
 	run verify-ops-64-128 verify-ops --n-list 64,128
 
-# Compare two `make outputs` directories and show that only numbers moved.
-# For each file that differs it prints the largest relative and absolute
-# change of its numeric tokens.  Integer tokens (exit codes, iteration
-# counts, seeds, n) must match exactly.  It exits 1 when any other token
-# differs (labels, verdicts, PASS/FAIL lines, missing files) or when the
-# two files hold different numbers of tokens.  Usage: make outputs-diff A=dir B=dir
-define OUTPUTS_DIFF_PY
-import os, re, sys
-from pathlib import Path
-number = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
-integer = re.compile(r"[-+]?\d+")
-def pieces(path):
-    parts = number.split(Path(path).read_text(encoding="utf-8", errors="replace"))
-    return [" ".join(p.split()) if k % 2 == 0 else p for k, p in enumerate(parts)]
-a, b = sys.argv[1:3]
-names = sorted(set(os.listdir(a)) | set(os.listdir(b)))
-bad = 0
-for name in names:
-    pa, pb = os.path.join(a, name), os.path.join(b, name)
-    if not (os.path.isfile(pa) and os.path.isfile(pb)):
-        print(f"{name}: only in {a if os.path.isfile(pa) else b}")
-        bad += 1
-        continue
-    if Path(pa).read_bytes() == Path(pb).read_bytes():
-        continue
-    xa, xb = pieces(pa), pieces(pb)
-    if len(xa) != len(xb):
-        print(f"{name}: token count {len(xa)} != {len(xb)}")
-        bad += 1
-        continue
-    rel = absd = 0.0
-    moved = 0
-    why = None
-    for k, (s, t) in enumerate(zip(xa, xb)):
-        if s == t:
-            continue
-        if k % 2 == 0 or integer.fullmatch(s) and integer.fullmatch(t):
-            why = f"{s!r} != {t!r}"
-            break
-        u, v = float(s), float(t)
-        moved += 1
-        if u != v:
-            absd = max(absd, abs(u - v))
-            rel = max(rel, abs(u - v) / max(abs(u), abs(v)))
-    if why:
-        print(f"{name}: changed token {why}")
-        bad += 1
-    else:
-        print(f"{name}: {moved} numbers moved, max rel {rel:.3e}, max abs {absd:.3e}")
-sys.exit(1 if bad else 0)
-endef
-export OUTPUTS_DIFF_PY
-
+# Compare two `make outputs` directories and show that only numbers moved
+# (see tools/outputs_diff.py).  Usage: make outputs-diff A=dir B=dir
 outputs-diff:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make outputs-diff A=dir B=dir" >&2; exit 2; }
-	@$(PY) -c "$$OUTPUTS_DIFF_PY" "$(A)" "$(B)"
+	@$(PY) tools/outputs_diff.py "$(A)" "$(B)"
 
 # Time example 5's plain and weighted table builds (n = 256, 1024, 2048) and
 # the four cli-large requests, each the median of fresh processes, and write

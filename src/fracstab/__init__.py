@@ -37,7 +37,6 @@ from .rhs_expr import (
 )
 from .solver import (
     CauchyProblem,
-    LipschitzEstimate,
     Solution,
     UniquenessCertificate,
     certify_unique,
@@ -55,8 +54,6 @@ from .stability import (
     lambda_phi_in_force,
     perturb_and_check,
     report_to_csv,
-    uh_constant,
-    uhr_constant,
 )
 
 __version__ = "0.1.0"

@@ -49,8 +49,6 @@ from .stability import (
     lambda_phi_in_force,
     perturb_and_check,
     report_to_csv,
-    uh_constant,
-    uhr_constant,
 )
 
 __all__ = ["ProblemFile", "load_problem", "problem_from_dict", "main"]
@@ -69,7 +67,6 @@ class ProblemFile:
     problem: CauchyProblem
     phi: Expr | None
     lambda_phi: float | None
-    parameters: dict[str, float]
 
 
 def _number(value, key: str) -> float:
@@ -174,9 +171,7 @@ def problem_from_dict(data) -> ProblemFile:
         CauchyProblem, psi=psi, order=order, a=a, T=T, y_a=y_a,
         rhs=rhs, lipschitz=lipschitz,
     )
-    return ProblemFile(
-        problem=problem, phi=phi, lambda_phi=lambda_phi, parameters=parameters
-    )
+    return ProblemFile(problem=problem, phi=phi, lambda_phi=lambda_phi)
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -226,17 +221,14 @@ def _usable_lipschitz(p: CauchyProblem) -> tuple[CauchyProblem, str | None]:
     if p.lipschitz is not None:
         return p, "declared"
     try:
-        est = estimate_lipschitz(p)
+        k, l = estimate_lipschitz(p)
     except (EstimationError, NonConvergenceError, DomainError) as err:
         _note(f"note: Lipschitz estimation failed: {err}")
         return p, None
-    if not est.l < 1.0:
-        _note(
-            f"note: estimated l = {_num15(est.l)} is not below 1; "
-            "constants unusable"
-        )
+    if not l < 1.0:
+        _note(f"note: estimated l = {_num15(l)} is not below 1; constants unusable")
         return p, None
-    return replace(p, lipschitz=(est.k, est.l)), "estimated"
+    return replace(p, lipschitz=(k, l)), "estimated"
 
 
 def _lambda_phi(pf: ProblemFile, mesh: Mesh) -> tuple[float, float, bool | None]:
@@ -302,7 +294,7 @@ def cmd_solve(args) -> int:
     p = pf.problem
     mesh = build_mesh(p.psi, p.a, p.T, args.n, _grading_from(args.grade, p.order))
     p, source = _usable_lipschitz(p)
-    sol = picard_solve(p, mesh, tol=args.tol, max_iter=args.max_iter)
+    sol = picard_solve(p, mesh, max_iter=args.max_iter)
     _write_out(solution_to_csv(sol, p), args.out)
     _note(f"iterations: {sol.iterations}")
     _note(f"final update norm: {_num15(sol.final_update_norm)}")
@@ -332,16 +324,19 @@ def cmd_certify(args) -> int:
         "lipschitz_source": source,
     }
     if unique.certified:
-        info["c_f_uh"] = uh_constant(p)
+        info["c_f_uh"] = StabilityCertificate.ulam_hyers(p).c_f
         if pf.phi is not None:
-            mesh = build_mesh(p.psi, p.a, p.T, args.n, default_grading(p.order))
+            # lambda_phi is estimated on a mesh of the default solve size
+            mesh = build_mesh(p.psi, p.a, p.T, 256, default_grading(p.order))
             lam_hat, lam_used, sound = _lambda_phi(pf, mesh)
             info["lambda_phi_hat"] = lam_hat
             info["lambda_phi_used"] = lam_used
             if pf.lambda_phi is not None:
                 info["lambda_phi_declared"] = pf.lambda_phi
                 info["lambda_phi_sound"] = sound
-            info["c_f_uhr"] = uhr_constant(p, lam_used)
+            info["c_f_uhr"] = StabilityCertificate.ulam_hyers_rassias(
+                p, pf.phi, lam_used
+            ).c_f
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
     else:
@@ -381,9 +376,7 @@ def cmd_perturb(args) -> int:
     spec = PerturbationSpec(
         epsilon=args.epsilon, shape=args.shape, trials=args.trials, seed=args.seed
     )
-    report = perturb_and_check(
-        p, cert, spec, mesh, tol=args.tol, max_iter=args.max_iter
-    )
+    report = perturb_and_check(p, cert, spec, mesh)
     _write_out(report_to_csv(report), args.out)
     _note(
         f"{cert.kind}: c_f={_num15(cert.c_f)} max_ratio={_num15(report.max_ratio)} "
@@ -455,27 +448,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("values", type=float, nargs="+")
     p_fun.set_defaults(func=cmd_specfun)
 
-    def _solver_flags(sp):
-        sp.add_argument("--n", type=int, default=256)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--max-iter", type=int, default=200)
-
     p_solve = sub.add_parser("solve", help="solve a problem file to CSV")
     p_solve.add_argument("problem")
-    _solver_flags(p_solve)
+    p_solve.add_argument("--n", type=int, default=256)
+    p_solve.add_argument("--max-iter", type=int, default=200)
     p_solve.add_argument("--grade", default="auto")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_cert = sub.add_parser("certify", help="print the uniqueness/stability certificate")
     p_cert.add_argument("problem")
-    p_cert.add_argument("--n", type=int, default=256)
     p_cert.add_argument("--json", action="store_true")
     p_cert.set_defaults(func=cmd_certify)
 
     p_pert = sub.add_parser("perturb", help="run the perturbation harness")
     p_pert.add_argument("problem")
-    _solver_flags(p_pert)
+    p_pert.add_argument("--n", type=int, default=256)
     p_pert.add_argument("--epsilon", type=float, default=0.01)
     p_pert.add_argument("--trials", type=int, default=20)
     p_pert.add_argument("--seed", type=int, default=0)

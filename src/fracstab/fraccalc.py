@@ -177,9 +177,6 @@ _GL_RULES = (
     ])),
 )
 
-#: Cells per column panel of a weighted-table tile.
-_PANEL_CELLS = 128
-
 #: Built tables, least recently used first, keyed by everything a table
 #: depends on: ``(mesh offsets, alpha, input weight exponent)``.  A hit
 #: therefore returns the very bits a fresh build would.
@@ -425,9 +422,11 @@ def _build_weighted_table(mesh: Mesh, alpha: float, gamma_u: float) -> np.ndarra
         V[ii, jj] += c_left
         V[ii, jj + 1] += c_right
 
-    # column panels of _PANEL_CELLS cells that share their last rule
-    workspace = np.empty((5, max(1, min(_BLOCK_BYTES // 8, (n + 1) * _PANEL_CELLS))))
-    edges = sorted({*range(0, n, _PANEL_CELLS), *(np.flatnonzero(np.diff(last)) + 1).tolist()})
+    # column panels as wide as a square tile of _BLOCK_BYTES, cut where the
+    # last rule changes
+    panel = math.isqrt(_BLOCK_BYTES // 8)
+    workspace = np.empty((5, max(1, min(_BLOCK_BYTES // 8, (n + 1) * panel))))
+    edges = sorted({*range(0, n, panel), *(np.flatnonzero(np.diff(last)) + 1).tolist()})
     for c0, c1 in zip(edges, edges[1:] + [n]):
         for k in range(last[c0] + 1):
             band = k < last[c0]

@@ -37,7 +37,6 @@ __all__ = [
     "CauchyProblem",
     "Solution",
     "UniquenessCertificate",
-    "LipschitzEstimate",
     "certify_unique",
     "picard_solve",
     "estimate_lipschitz",
@@ -280,19 +279,13 @@ def _reconstruct_y(
     return out
 
 
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    k: float
-    l: float
-
-
 # estimate_lipschitz: grid points per axis, and the trial solve's mesh size
 _LIPSCHITZ_SAMPLES = 9
 _LIPSCHITZ_TRIAL_N = 64
 
 
-def estimate_lipschitz(p: CauchyProblem) -> LipschitzEstimate:
-    """Sampled bounds on the right-hand side's slopes in the y and d slots.
+def estimate_lipschitz(p: CauchyProblem) -> tuple[float, float]:
+    """Sampled bounds (k, l) on the right-hand side's slopes in the y and d slots.
 
     Central differences over a deterministic (t, y, d) grid; the box for
     (y, d) is the padded range of a coarse trial solve.  These are
@@ -303,8 +296,8 @@ def estimate_lipschitz(p: CauchyProblem) -> LipschitzEstimate:
     (y_lo, y_hi), (d_lo, d_hi) = _default_box(p)
     mesh = build_mesh(p.psi, p.a, p.T, samples, default_grading(p.order))
     t_axis = mesh.nodes[1:] if p.order.weight > 0.0 else mesh.nodes
-    idx = np.unique(np.linspace(0, t_axis.size - 1, samples).round().astype(int))
-    t_axis = t_axis[idx]
+    # 9 or 10 nodes give 9 distinct indices
+    t_axis = t_axis[np.linspace(0, t_axis.size - 1, samples).round().astype(int)]
     y_axis = np.linspace(y_lo, y_hi, samples)
     d_axis = np.linspace(d_lo, d_hi, samples)
     tg, yg, dg = (arr.ravel() for arr in np.meshgrid(t_axis, y_axis, d_axis))
@@ -323,7 +316,7 @@ def estimate_lipschitz(p: CauchyProblem) -> LipschitzEstimate:
         raise EstimationError(
             f"right-hand side not evaluable over the sampling box: {err}"
         ) from err
-    return LipschitzEstimate(k=float(k_hat), l=float(l_hat))
+    return float(k_hat), float(l_hat)
 
 
 def _default_box(p: CauchyProblem) -> tuple[tuple[float, float], tuple[float, float]]:

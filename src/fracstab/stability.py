@@ -42,8 +42,6 @@ __all__ = [
     "PerturbationSpec",
     "TrialResult",
     "PerturbationReport",
-    "uh_constant",
-    "uhr_constant",
     "estimate_lambda_phi",
     "lambda_phi_in_force",
     "perturb_and_check",
@@ -63,15 +61,34 @@ class StabilityCertificate:
 
     @classmethod
     def ulam_hyers(cls, p: CauchyProblem) -> "StabilityCertificate":
-        return cls(kind="ulam_hyers", c_f=uh_constant(p))
+        """Closed-form plain stability constant, evaluated at t = T.
+
+        c_f = (span**alpha / Gamma(alpha+1)) * E_alpha(k/(1-l) * span**alpha)
+        with span = psi(T) - psi(a) and (k, l) the problem's constants.
+        Requires the contraction ratio < 1.
+        """
+        _certified_ratio(p)
+        k, l = p.lipschitz
+        alpha = p.order.alpha
+        span = p.psi.value(p.T) - p.psi.value(p.a)
+        lead = span**alpha / gamma_fn(alpha + 1.0)
+        return cls(
+            kind="ulam_hyers",
+            c_f=lead * mittag_leffler(alpha, k / (1.0 - l) * span**alpha),
+        )
 
     @classmethod
     def ulam_hyers_rassias(
         cls, p: CauchyProblem, phi: Expr, lambda_phi: float
     ) -> "StabilityCertificate":
+        """Comparison-weighted constant: lambda_phi over one minus the ratio."""
+        if not (math.isfinite(lambda_phi) and lambda_phi > 0.0):
+            raise DomainError(
+                f"comparison coefficient must be positive, got {lambda_phi!r}"
+            )
         return cls(
             kind="ulam_hyers_rassias",
-            c_f=uhr_constant(p, lambda_phi),
+            c_f=lambda_phi / (1.0 - _certified_ratio(p)),
             lambda_phi=float(lambda_phi),
             phi=phi,
         )
@@ -84,31 +101,6 @@ def _certified_ratio(p: CauchyProblem) -> float:
             "combined contraction ratio is not below 1", cert.ratio
         )
     return cert.ratio
-
-
-def uh_constant(p: CauchyProblem) -> float:
-    """Closed-form plain stability constant, evaluated at t = T.
-
-    c_f = (span**alpha / Gamma(alpha+1)) * E_alpha(k/(1-l) * span**alpha)
-    with span = psi(T) - psi(a) and (k, l) the problem's constants.
-    Requires the contraction ratio < 1.
-    """
-    _certified_ratio(p)
-    k, l = p.lipschitz
-    alpha = p.order.alpha
-    span = p.psi.value(p.T) - p.psi.value(p.a)
-    lead = span**alpha / gamma_fn(alpha + 1.0)
-    return lead * mittag_leffler(alpha, k / (1.0 - l) * span**alpha)
-
-
-def uhr_constant(p: CauchyProblem, lambda_phi: float) -> float:
-    """Comparison-weighted constant: lambda_phi over one minus the ratio."""
-    if not (math.isfinite(lambda_phi) and lambda_phi > 0.0):
-        raise DomainError(
-            f"comparison coefficient must be positive, got {lambda_phi!r}"
-        )
-    ratio = _certified_ratio(p)
-    return lambda_phi / (1.0 - ratio)
 
 
 def _phi_values(phi: Expr, mesh: Mesh) -> np.ndarray:
@@ -287,8 +279,6 @@ def perturb_and_check(
     spec: PerturbationSpec,
     mesh: Mesh,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
     operator: FracIntegralOperator | None = None,
 ) -> PerturbationReport:
     """Run seeded perturbation trials against the certified bound.
@@ -309,7 +299,7 @@ def perturb_and_check(
 
     def build_level(on: Mesh, op: FracIntegralOperator | None = None) -> _Level:
         op = op if op is not None else FracIntegralOperator(on, p.order.alpha)
-        base = picard_solve(p, on, tol, max_iter, operator=op)
+        base = picard_solve(p, on, operator=op)
         envelope = (
             spec.epsilon * _phi_values(cert.phi, on)
             if weighted
@@ -319,7 +309,7 @@ def perturb_and_check(
 
     def measure(level: _Level, pert: np.ndarray) -> tuple[float, float, float]:
         """Max plain |z - y| past a, the ceiling and the ratio at the worst node."""
-        z = picard_solve(p, level.mesh, tol, max_iter, operator=level.op, forcing=pert)
+        z = picard_solve(p, level.mesh, operator=level.op, forcing=pert)
         dev = np.abs(z.y.values[1:] - level.base.y.values[1:]) * np.power(
             level.mesh.offsets[1:], -p.order.weight
         )

@@ -95,7 +95,6 @@ def test_all_bundled_problems_load():
     ex3 = load_problem(str(PROBLEMS / "example3.json"))
     assert ex3.problem.psi.kind == "logarithm"
     ex5 = load_problem(str(PROBLEMS / "example5.json"))
-    assert ex5.parameters == {}
     assert ex5.phi is not None and ex5.lambda_phi is not None
     ex7 = load_problem(str(PROBLEMS / "example7.json"))
     assert ex7.problem.psi.kind == "power"
@@ -258,6 +257,28 @@ def test_certify_estimates_missing_constants(capsys, tmp_path):
     assert info["l"] == pytest.approx(declared["l"], abs=1e-4)
 
 
+def test_estimated_constants_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma is slow to import and estimating the constants needs none of
+    # it, so a certify without declared constants never loads it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys\n"
+        "from fracstab.cli import main\n"
+        "code = main(['certify', sys.argv[1]])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, _without_constants(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "(estimated)" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_solve_reports_estimated_factor(capsys, tmp_path):
     assert main(["solve", _without_constants(tmp_path), "--n", "32"]) == 0
     err = capsys.readouterr().err.splitlines()
@@ -297,6 +318,22 @@ def test_certify_uses_declared_lambda_phi_when_sound(capsys):
     assert info["lambda_phi_sound"] is True
     assert info["lambda_phi_used"] == info["lambda_phi_declared"]
     assert info["c_f_uhr"] == pytest.approx(1.199622819623711, rel=1e-12)
+
+
+def test_certify_text_reports_declared_lambda_phi(capsys):
+    path = str(PROBLEMS / "example5.json")
+    assert main(["certify", path, "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert main(["certify", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    num = {key: format(value, ".15g") for key, value in info.items()
+           if isinstance(value, float)}
+    assert lines[-4:] == [
+        f"c_f (plain): {num['c_f_uh']}",
+        f"lambda_phi estimate: {num['lambda_phi_hat']}",
+        f"lambda_phi declared: {num['lambda_phi_declared']} (sound)",
+        f"c_f (comparison-weighted): {num['c_f_uhr']}",
+    ]
 
 
 def test_certify_falls_back_on_unsound_lambda_phi(capsys):
@@ -339,6 +376,26 @@ def test_perturb_deterministic_and_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     assert b"verdict,pass" in out1.read_bytes()
+
+
+def test_perturb_seed_chooses_the_trials(capsys, tmp_path):
+    args = [
+        "perturb", str(PROBLEMS / "example1.json"), "--n", "32", "--trials", "3",
+    ]
+    outs = [tmp_path / f"p{k}.csv" for k in range(3)]
+    assert main(args + ["--out", str(outs[0])]) == 0
+    assert main(args + ["--seed", "1", "--out", str(outs[1])]) == 0
+    assert main(args + ["--seed", "1", "--out", str(outs[2])]) == 0
+    capsys.readouterr()
+    assert outs[1].read_bytes() == outs[2].read_bytes()
+
+    def seeds(path):
+        rows = path.read_text().split("\n\n")[0].splitlines()[1:]
+        return [row.split(",")[1] for row in rows]
+
+    default, seeded = seeds(outs[0]), seeds(outs[1])
+    assert len(default) == len(seeded) == 3
+    assert all(a != b for a, b in zip(default, seeded))
 
 
 def test_perturb_bound_violation_exits_five(capsys, tmp_path):

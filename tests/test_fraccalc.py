@@ -211,14 +211,13 @@ def test_table_builds_do_not_depend_on_block_size(monkeypatch, psi, a, T, block_
     # short).  n = 1024 with grading 4 has every Gauss-Legendre rule, by the
     # distance from x0 and from the evaluation node, the plain table's far
     # band and several incomplete beta batches; its tiles shrink to 101 or
-    # 707 entries on panels of 9 or 39 cells.
+    # 707 entries on panels of 10 or 26 cells.
     for n in (100, 1024):
         mesh = build_mesh(psi, a, T, n, grading=4.0)
         with monkeypatch.context() as patch:
             plain = fraccalc._build_plain_table(mesh, 0.5)
             weighted = fraccalc._build_weighted_table(mesh, 0.5, 0.75)
             patch.setattr(fraccalc, "_BLOCK_BYTES", block_rows * 8 * 101)
-            patch.setattr(fraccalc, "_PANEL_CELLS", 5 * block_rows + 4)
             assert np.array_equal(fraccalc._build_plain_table(mesh, 0.5), plain)
             assert np.array_equal(fraccalc._build_weighted_table(mesh, 0.5, 0.75), weighted)
 

@@ -120,6 +120,24 @@ def test_caputo_linear_against_series():
     assert errs[128] / errs[256] >= 1.7
 
 
+def test_shallow_weight_returns_weighted_integral():
+    # gamma + alpha = 1/2 < 1: the integral of g comes back weighted, and y
+    # is stored as 1/gamma(gamma) + x**(alpha + 1 - gamma) / gamma(alpha + 1)
+    p = _problem("1", alpha=0.25, beta=0.0)
+    alpha, gamma = p.order.alpha, p.order.gamma
+    errs = {}
+    for n in (256, 1024):
+        mesh = _mesh(p, n)
+        op = FracIntegralOperator(mesh, alpha)
+        sol = picard_solve(p, mesh, operator=op)
+        assert op.apply(sol.g).weight_exp == pytest.approx(1.0 - gamma - alpha)
+        x = mesh.offsets
+        ref = 1.0 / gamma_fn(gamma) + x ** (alpha + 1.0 - gamma) / gamma_fn(alpha + 1.0)
+        errs[n] = float(np.max(np.abs(sol.y.values - ref)))
+    assert errs[1024] <= 2e-6
+    assert math.log(errs[256] / errs[1024], 4.0) >= 1.8
+
+
 def test_derivative_of_solution_matches_g():
     # feed the solved profile back through the composition derivative
     p = _problem("0.5*y", beta=1.0, lipschitz=(0.5, 0.0))
@@ -205,19 +223,19 @@ def test_non_convergence_raises():
 
 
 def test_estimate_lipschitz_linear_cases():
-    est_d = estimate_lipschitz(_problem("0.1*d"))
-    assert est_d.k == pytest.approx(0.0, abs=1e-9)
-    assert est_d.l == pytest.approx(0.1, abs=1e-6)
-    est_t = estimate_lipschitz(_problem("cos(t)"))
-    assert est_t.k == pytest.approx(0.0, abs=1e-9)
-    assert est_t.l == pytest.approx(0.0, abs=1e-9)
+    k_d, l_d = estimate_lipschitz(_problem("0.1*d"))
+    assert k_d == pytest.approx(0.0, abs=1e-9)
+    assert l_d == pytest.approx(0.1, abs=1e-6)
+    k_t, l_t = estimate_lipschitz(_problem("cos(t)"))
+    assert k_t == pytest.approx(0.0, abs=1e-9)
+    assert l_t == pytest.approx(0.0, abs=1e-9)
 
 
 def test_estimate_lipschitz_matches_declared_for_example1():
     pf = load_example(1)
-    est = estimate_lipschitz(pf.problem)
-    assert est.k == pytest.approx(pf.problem.lipschitz[0], abs=1e-3)
-    assert est.l == pytest.approx(pf.problem.lipschitz[1], abs=1e-4)
+    k, l = estimate_lipschitz(pf.problem)
+    assert k == pytest.approx(pf.problem.lipschitz[0], abs=1e-3)
+    assert l == pytest.approx(pf.problem.lipschitz[1], abs=1e-4)
 
 
 def test_estimate_lipschitz_rejects_unevaluable_box():

@@ -21,8 +21,6 @@ from fracstab.stability import (
     estimate_lambda_phi,
     perturb_and_check,
     report_to_csv,
-    uh_constant,
-    uhr_constant,
 )
 
 from conftest import load_example
@@ -49,33 +47,36 @@ def _simple(rhs, lipschitz, beta=1.0):
 
 
 def test_uh_constant_frozen():
-    assert uh_constant(load_example(1).problem) == pytest.approx(
-        C_F_EX1, rel=1e-12
-    )
+    cert = StabilityCertificate.ulam_hyers(load_example(1).problem)
+    assert cert.c_f == pytest.approx(C_F_EX1, rel=1e-12)
     # k = 0 leaves the bare span factor 1/gamma(alpha + 1)
     p0 = _simple("0.05*d", (0.0, 0.05))
-    assert uh_constant(p0) == pytest.approx(1.1283791670955126, rel=1e-12)
+    assert StabilityCertificate.ulam_hyers(p0).c_f == pytest.approx(
+        1.1283791670955126, rel=1e-12
+    )
     # the classical first-order case collapses to e
     classical = CauchyProblem(
         psi=PsiMap("identity"), order=FracOrder(1.0, 1.0),
         a=0.0, T=1.0, y_a=1.0,
         rhs=parse_expression("y"), lipschitz=(1.0, 0.0),
     )
-    assert uh_constant(classical) == pytest.approx(math.e, rel=1e-12)
+    assert StabilityCertificate.ulam_hyers(classical).c_f == pytest.approx(
+        math.e, rel=1e-12
+    )
 
 
 def test_uh_constant_requires_contraction():
     with pytest.raises(CertificationError) as info:
-        uh_constant(_simple("5*y", (5.0, 0.0)))
+        StabilityCertificate.ulam_hyers(_simple("5*y", (5.0, 0.0)))
     assert info.value.ratio is not None and info.value.ratio > 1.0
 
 
 def test_uhr_constant_frozen():
     pf = load_example(5)
-    got = uhr_constant(pf.problem, pf.lambda_phi)
-    assert got == pytest.approx(C_F_UHR_EX5, rel=1e-12)
+    cert = StabilityCertificate.ulam_hyers_rassias(pf.problem, pf.phi, pf.lambda_phi)
+    assert cert.c_f == pytest.approx(C_F_UHR_EX5, rel=1e-12)
     with pytest.raises(DomainError):
-        uhr_constant(pf.problem, 0.0)
+        StabilityCertificate.ulam_hyers_rassias(pf.problem, pf.phi, 0.0)
 
 
 def test_estimate_lambda_phi_frozen():
