@@ -2,7 +2,7 @@ PY ?= python3
 CLI ?= PYTHONPATH=src $(PY) -m fracstab
 EXAMPLES := 1 2 3 4 5 6 7
 
-.PHONY: test golden ops outputs outputs-diff bench-tables
+.PHONY: test golden ops outputs outputs-diff bench-tables bench-smoke
 
 test:
 	$(PY) -m pytest -q
@@ -69,3 +69,9 @@ outputs-diff:
 bench-tables:
 	@test -n "$(OUT)" || { echo "usage: make bench-tables OUT=file.json [BASE=dir]" >&2; exit 2; }
 	$(PY) tools/bench_tables.py --out $(OUT) --repeats $(or $(REPEATS),5) $(if $(BASE),--baseline $(BASE))
+
+# Run the benchmark's smoke tests: they drive the library the way the
+# benchmark does (Solution.iterations, the operator= keywords, the
+# certificate constructors), so a change under src that breaks it shows here.
+bench-smoke:
+	$(PY) -m pytest perfbench/test_smoke.py -q -p no:cacheprovider

@@ -296,14 +296,17 @@ def cmd_solve(args) -> int:
     p, source = _usable_lipschitz(p)
     sol = picard_solve(p, mesh, max_iter=args.max_iter)
     _write_out(solution_to_csv(sol, p), args.out)
+    update = sol.update_norms[-1]
     _note(f"iterations: {sol.iterations}")
-    _note(f"final update norm: {_num15(sol.final_update_norm)}")
-    if sol.contraction_factor is not None:
-        _note(f"contraction factor: {_num15(sol.contraction_factor)} ({source})")
-    else:
+    _note(f"final update norm: {_num15(update)}")
+    if source is None:
         _note("contraction factor: unavailable")
-    if sol.a_posteriori_bound is not None:
-        _note(f"a posteriori bound: {_num15(sol.a_posteriori_bound)}")
+        return 0
+    # the factor and the bound come from the constants, not from the solve
+    factor = certify_unique(p).factor
+    _note(f"contraction factor: {_num15(factor)} ({source})")
+    if factor < 1.0:
+        _note(f"a posteriori bound: {_num15(update * factor / (1.0 - factor))}")
     return 0
 
 

@@ -102,21 +102,20 @@ class CauchyProblem:
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged Picard iterate plus convergence diagnostics.
+    """Converged Picard iterate and the norms of its corrections.
 
     ``g`` is the auxiliary fixed-point function and ``y`` the reconstructed
     solution; both are stored weighted (exponent 1 - gamma) when gamma < 1,
     so the value of ``y`` at ``t = a`` reads ``y_a / Gamma(gamma)``.
-    ``update_norms`` records the weighted norm of every Picard correction;
-    the last entry is ``final_update_norm``.
+    ``update_norms`` records the weighted norm of each of the
+    ``iterations`` Picard corrections.  The contraction factor q belongs to
+    the problem's constants (``certify_unique(p).factor``); with the last
+    norm u, ``u * q / (1 - q)`` bounds the distance to the fixed point.
     """
 
     g: GridFunction
     y: GridFunction
     iterations: int
-    final_update_norm: float
-    contraction_factor: float | None
-    a_posteriori_bound: float | None
     update_norms: tuple[float, ...]
 
 
@@ -184,8 +183,9 @@ def picard_solve(
     caller reuse a prebuilt quadrature table for the mesh.  The seed is one
     right-hand-side step from the prefactor-only y and g = 0.  Stops when
     the weighted norm of the correction drops to ``tol``; raises after
-    ``max_iter`` sweeps, carrying the last norm.  The reported contraction
-    factor is ``certify_unique``'s, when the problem carries constants.
+    ``max_iter`` sweeps, carrying the last norm.  The solve reads no
+    Lipschitz constants: the same problem with or without them gives the
+    same iterates.
     """
     _check_mesh(p, mesh)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -213,8 +213,6 @@ def picard_solve(
     dxg = np.power(mesh.offsets[1:], gamma - 1.0) if w > 0.0 else None
     pref = p.y_a / gamma_fn(gamma)
 
-    factor = certify_unique(p).factor if p.lipschitz is not None else None
-
     def rhs_step(y_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
         """g -> f(t, y, g) plus the forcing, in the stored weighting."""
         if w == 0.0:
@@ -222,7 +220,8 @@ def picard_solve(
             if forcing is not None:
                 vals = vals + forcing
             return vals
-        vals = evaluate(p.rhs, t[1:], y_hat[1:] * dxg, g_hat[1:] * dxg)
+        with np.errstate(over="ignore"):  # evaluate reports what overflows
+            vals = evaluate(p.rhs, t[1:], y_hat[1:] * dxg, g_hat[1:] * dxg)
         if forcing is not None:
             vals = vals + forcing[1:]
         return _lift_weighted(vals, dxw, mesh)
@@ -238,16 +237,10 @@ def picard_solve(
         g_hat = g_next
         if update <= tol:
             y_hat = _reconstruct_y(op, mesh, g_hat, w, pref)
-            bound = None
-            if factor is not None and factor < 1.0:
-                bound = update * factor / (1.0 - factor)
             return Solution(
                 g=GridFunction(mesh, g_hat, w),
                 y=GridFunction(mesh, y_hat, w),
                 iterations=iteration,
-                final_update_norm=update,
-                contraction_factor=factor,
-                a_posteriori_bound=bound,
                 update_norms=tuple(norms),
             )
     raise NonConvergenceError(max_iter, norms[-1])

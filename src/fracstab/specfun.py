@@ -5,7 +5,8 @@ All three are evaluated from scratch in double precision:
 * ``gamma_fn`` uses a 9-term Lanczos approximation valid on the positive
   axis, accurate to better than 1e-12 relative over ``(0, 170]``.
 * ``erf_fn`` switches between the Maclaurin series (small arguments) and a
-  Lentz-evaluated continued fraction for the complementary function.
+  Lentz-evaluated continued fraction for the complementary function; from
+  ``|z| = 6`` on it is ``±1`` exactly.
 * ``mittag_leffler_many`` sums the defining power series over a whole array
   at once, with compensated (Kahan) accumulation and a
   two-consecutive-term truncation rule (relative tolerance 1e-14, at most
@@ -167,6 +168,8 @@ def erf_fn(z: float) -> float:
     if z == 0.0:
         return 0.0
     az = abs(z)
+    if az >= 6.0:  # erfc(6) = 2.2e-17 is below half an ulp of 1
+        return math.copysign(1.0, z)
     if az <= 2.0:
         val = _erf_series(az)
     else:

@@ -54,10 +54,15 @@ PERTURBATION_SHAPES = ("constant", "phi_scaled", "random_bounded", "zero")
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    kind: str  # "ulam_hyers" | "ulam_hyers_rassias"
+    """Certified constant ``c_f``; ``phi`` is the comparison function of a
+    weighted (Ulam-Hyers-Rassias) certificate, ``None`` for a plain one."""
+
     c_f: float
-    lambda_phi: float | None = None
     phi: Expr | None = None
+
+    @property
+    def kind(self) -> str:
+        return "ulam_hyers" if self.phi is None else "ulam_hyers_rassias"
 
     @classmethod
     def ulam_hyers(cls, p: CauchyProblem) -> "StabilityCertificate":
@@ -72,10 +77,7 @@ class StabilityCertificate:
         alpha = p.order.alpha
         span = p.psi.value(p.T) - p.psi.value(p.a)
         lead = span**alpha / gamma_fn(alpha + 1.0)
-        return cls(
-            kind="ulam_hyers",
-            c_f=lead * mittag_leffler(alpha, k / (1.0 - l) * span**alpha),
-        )
+        return cls(c_f=lead * mittag_leffler(alpha, k / (1.0 - l) * span**alpha))
 
     @classmethod
     def ulam_hyers_rassias(
@@ -86,12 +88,7 @@ class StabilityCertificate:
             raise DomainError(
                 f"comparison coefficient must be positive, got {lambda_phi!r}"
             )
-        return cls(
-            kind="ulam_hyers_rassias",
-            c_f=lambda_phi / (1.0 - _certified_ratio(p)),
-            lambda_phi=float(lambda_phi),
-            phi=phi,
-        )
+        return cls(c_f=lambda_phi / (1.0 - _certified_ratio(p)), phi=phi)
 
 
 def _certified_ratio(p: CauchyProblem) -> float:
@@ -293,9 +290,7 @@ def perturb_and_check(
     envelope.  Trials whose solve breaks down, on either mesh, are marked
     "error" and fail the report.
     """
-    weighted = cert.kind == "ulam_hyers_rassias"
-    if weighted and cert.phi is None:
-        raise ContractError("weighted certificate carries no comparison function")
+    weighted = cert.phi is not None
 
     def build_level(on: Mesh, op: FracIntegralOperator | None = None) -> _Level:
         op = op if op is not None else FracIntegralOperator(on, p.order.alpha)

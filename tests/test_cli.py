@@ -8,9 +8,12 @@ import sys
 import jsonschema
 import pytest
 
-from fracstab.cli import load_problem, main, problem_from_dict
+from fracstab.cli import (
+    _num15, _usable_lipschitz, load_problem, main, problem_from_dict,
+)
 from fracstab.errors import SchemaError
-from fracstab.psi_space import PSI_KINDS
+from fracstab.psi_space import PSI_KINDS, build_mesh
+from fracstab.solver import certify_unique, default_grading, picard_solve
 
 from conftest import PROBLEMS, ROOT
 
@@ -127,6 +130,12 @@ def test_specfun_command(capsys):
     assert capsys.readouterr().out.strip() == "5.00898008076"
     assert main(["specfun", "erf", "1"]) == 0
     assert capsys.readouterr().out.strip() == "0.84270079295"
+
+
+def test_specfun_erf_far_argument(capsys):
+    for z in ("1e308", "377907250.05459607"):
+        assert main(["specfun", "erf", z]) == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 def test_package_runs_as_module():
@@ -284,6 +293,48 @@ def test_solve_reports_estimated_factor(capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     factor = [line for line in err if line.startswith("contraction factor:")]
     assert len(factor) == 1 and factor[0].endswith(" (estimated)")
+
+
+@pytest.mark.parametrize("declared", [True, False])
+def test_solve_summary_reads_the_constants(capsys, tmp_path, declared):
+    # factor and bound come from the constants in force, not from the solve
+    path = str(PROBLEMS / "example1.json") if declared else _without_constants(tmp_path)
+    assert main(["solve", path, "--n", "32"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    p, source = _usable_lipschitz(load_problem(path).problem)
+    assert source == ("declared" if declared else "estimated")
+    sol = picard_solve(p, build_mesh(p.psi, p.a, p.T, 32, default_grading(p.order)))
+    u, q = sol.update_norms[-1], certify_unique(p).factor
+    assert err == [
+        f"iterations: {sol.iterations}",
+        f"final update norm: {_num15(u)}",
+        f"contraction factor: {_num15(q)} ({source})",
+        f"a posteriori bound: {_num15(u * q / (1.0 - q))}",
+    ]
+
+
+def test_weighted_problem_with_huge_initial_datum_exits_two(tmp_path):
+    # y_a * (psi(t) - psi(a))**(gamma - 1) overflows next to t = a; the rhs
+    # evaluation reports it as one error line, with no numpy warning first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    doc = json.loads((PROBLEMS / "example1.json").read_text())
+    for y_a in (1e308, -1e308):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(doc, y_a=y_a)))
+        for command in ("solve", "perturb"):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracstab",
+                 command, str(path), "--n", "32"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "Warning" not in proc.stderr
 
 
 def test_certify_refuses_estimate_with_l_above_one(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Problem container, contraction bookkeeping, and the fixed-point solver."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from fracstab.psi_space import FracOrder, PsiMap, build_mesh
 from fracstab.rhs_expr import parse_expression
 from fracstab.solver import (
     CauchyProblem,
+    Solution,
     certify_unique,
     default_grading,
     estimate_lipschitz,
@@ -94,7 +95,7 @@ def test_zero_rhs_plain_is_exact():
     sol = picard_solve(p, _mesh(p, 32))
     np.testing.assert_allclose(sol.y.values, 1.0, rtol=1e-14)
     assert sol.iterations <= 2
-    assert sol.final_update_norm <= 1e-14
+    assert sol.update_norms[-1] <= 1e-14
 
 
 def test_zero_rhs_weighted_is_prefactor():
@@ -153,16 +154,31 @@ def test_weighted_solve_frozen_behavior():
     sol = picard_solve(pf.problem, _mesh(pf.problem, 64))
     # stored value at a is y_a / gamma(gamma); here 1 / gamma(1/2)
     assert sol.y.values[0] == pytest.approx(0.5641895835477563, rel=1e-12)
-    assert sol.contraction_factor == pytest.approx(L_EX1, rel=1e-13)
+    factor = certify_unique(pf.problem).factor
+    assert factor == pytest.approx(L_EX1, rel=1e-13)
     assert sol.iterations <= 25
-    assert sol.final_update_norm <= 1e-10
-    assert sol.a_posteriori_bound is not None
-    assert sol.a_posteriori_bound <= 1e-9
+    update = sol.update_norms[-1]
+    assert update <= 1e-10
+    assert update * factor / (1.0 - factor) <= 1e-9
     # geometric decay of the update norms at rate <= factor (+ slack)
     norms = sol.update_norms
     for prev, cur in zip(norms[1:-1], norms[2:]):
         if prev > 1e-13:
             assert cur / prev <= L_EX1 + 0.05
+
+
+def test_solve_reads_no_constants():
+    # the Lipschitz pair certifies the iteration; it never steers it
+    p = load_example(1).problem
+    mesh = _mesh(p, 64)
+    declared = picard_solve(p, mesh)
+    bare = picard_solve(replace(p, lipschitz=None), mesh)
+    assert np.array_equal(declared.g.values, bare.g.values)
+    assert np.array_equal(declared.y.values, bare.y.values)
+    assert declared.update_norms == bare.update_norms
+    assert [f.name for f in fields(Solution)] == [
+        "g", "y", "iterations", "update_norms"
+    ]
 
 
 def test_solution_reconstruction_consistency():

@@ -97,6 +97,16 @@ def test_erf_odd_and_bounded(z):
     assert erf_fn(-z) == pytest.approx(-v, abs=1e-15)
 
 
+def test_erf_is_one_far_out():
+    # erfc(6) = 2.2e-17 is below half an ulp of 1; the continued fraction
+    # is never asked to round its step to exactly 1 out there
+    for z in np.geomspace(6.0, 1.79e308, 2000):
+        assert erf_fn(z) == 1.0 and erf_fn(-z) == -1.0
+    assert erf_fn(377907250.05459607) == 1.0
+    t = np.linspace(0.0, 1.0, 5)
+    assert evaluate(parse_expression("erf(1e300*t)"), t).tolist() == [0, 1, 1, 1, 1]
+
+
 def test_erf_domain():
     with pytest.raises(DomainError):
         erf_fn(math.inf)

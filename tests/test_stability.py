@@ -110,7 +110,7 @@ def test_certificates_and_bounds():
         pf5.problem, pf5.phi, pf5.lambda_phi
     )
     assert cert5.kind == "ulam_hyers_rassias"
-    assert cert5.lambda_phi == pf5.lambda_phi
+    assert cert5.phi is pf5.phi
 
 
 def test_perturbation_spec_validation():
