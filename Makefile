@@ -25,10 +25,14 @@ ops:
 # $(OUT)/example<i>-estimated.json), which takes the estimated-constants
 # path.  Examples 1 and 7 also run perturb with understated constants (k/50,
 # l = 0; inputs in $(OUT)/example<i>-understated.json), so every trial is
-# re-run on the doubled mesh.  Usage: make outputs OUT=dir
+# re-run on the doubled mesh.  The requests share a private table store
+# (XDG_CACHE_HOME), a fresh empty one removed afterwards, or STORE=dir kept
+# for the next run, so a run with a filled store compares too.
+# Usage: make outputs OUT=dir [STORE=dir]
 outputs:
-	@test -n "$(OUT)" || { echo "usage: make outputs OUT=dir" >&2; exit 2; }
+	@test -n "$(OUT)" || { echo "usage: make outputs OUT=dir [STORE=dir]" >&2; exit 2; }
 	mkdir -p $(OUT)
+	$(if $(STORE),export XDG_CACHE_HOME=$(abspath $(STORE)),store=$$(mktemp -d) && trap 'rm -rf "$$store"' EXIT && export XDG_CACHE_HOME=$$store); \
 	run() { name=$$1; shift; $(CLI) "$$@" > $(OUT)/$$name.out 2> $(OUT)/$$name.err; \
 		echo $$? > $(OUT)/$$name.exit; }; \
 	for i in $(EXAMPLES); do \
@@ -62,7 +66,8 @@ outputs-diff:
 	@$(PY) tools/outputs_diff.py "$(A)" "$(B)"
 
 # Time example 5's plain and weighted table builds (n = 256, 1024, 2048) and
-# the four cli-large requests, each the median of fresh processes, and write
+# the four cli-large requests with an empty and with a filled table store,
+# each the median of fresh processes, and write
 # them with the host's numpy, SIMD features and peak RSS to $(OUT).  BASE=dir
 # measures a checkout of another commit in alternation on the same host.
 # Usage: make bench-tables OUT=file.json [BASE=dir] [REPEATS=5]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -439,8 +440,17 @@ def cmd_verify_ops(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-3`` as a negative number, not an option: argparse's own
+    pattern knows only ``-2`` and ``-2.5``.  Subcommand parsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracstab",
         description="Solve and certify weighted fractional Cauchy problems.",
     )

@@ -32,6 +32,9 @@ below quantify how well the inversion identities hold on a given mesh.
 from __future__ import annotations
 
 import math
+import os
+import struct
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -140,6 +143,14 @@ _BLOCK_BYTES = 256 << 10
 #: Byte budget of the process-wide table cache; the newest table always stays.
 _CACHE_BYTES = 128 << 20
 
+#: Byte budget of the on-disk table store (see ``_load_table``); a table
+#: larger than this is not stored, and the oldest files go first.
+_STORE_BYTES = 256 << 20
+
+#: Tables smaller than this (n < 127) skip the store: a plain one builds in
+#: about the time a load takes (0.3 ms), and storing one costs more.
+_STORE_MIN_BYTES = 128 << 10
+
 #: Gauss-Legendre rules on [0, 1] for the separated cells of a weighted
 #: table, fewest nodes last: ``(separation, nodes s_q, weights w_q)``, the
 #: nodes and weights being the exact values rounded to double.  They are
@@ -187,10 +198,10 @@ class FracIntegralOperator:
     """Lower-triangular quadrature tables for one mesh and one order.
 
     One table per input weight exponent, fetched on first use from a
-    process-wide cache that builds each distinct table once; tables are
-    shared between operators and read-only.  Entry ``[i, j]`` multiplies
-    the stored value at node ``j`` when evaluating the integral at node
-    ``i``; row 0 is identically zero.  Plain row sums equal
+    process-wide cache, which maps it from the on-disk store or builds it;
+    tables are shared between operators and read-only.  Entry ``[i, j]``
+    multiplies the stored value at node ``j`` when evaluating the integral
+    at node ``i``; row 0 is identically zero.  Plain row sums equal
     ``(psi(t_i) - psi(a))**alpha / gamma(alpha + 1)`` up to rounding,
     which is the exactness-on-constants property the tests pin down.
 
@@ -293,7 +304,8 @@ def _pow_diffs(B: np.ndarray, A: np.ndarray, exponents) -> list[np.ndarray]:
 
 
 def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> np.ndarray:
-    """The read-only table from ``_cache``, built on a miss.
+    """The read-only table from ``_cache``; on a miss it is mapped from the
+    on-disk store, or built and then stored.
 
     Eviction drops the cache's reference only; operators keep their own.
     """
@@ -302,16 +314,163 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> np.ndarray:
     if table is not None:
         _cache.move_to_end(key)
         return table
-    if weight_exp == 0.0:
-        table = _build_plain_table(mesh, alpha)
-    else:
-        table = _build_weighted_table(mesh, alpha, 1.0 - weight_exp)
-    table.setflags(write=False)
+    use_store = 8 * (mesh.n + 1) ** 2 >= _STORE_MIN_BYTES
+    table = _load_table(key, mesh.n) if use_store else None
+    if table is None:
+        if weight_exp == 0.0:
+            table = _build_plain_table(mesh, alpha)
+        else:
+            table = _build_weighted_table(mesh, alpha, 1.0 - weight_exp)
+        table.setflags(write=False)
+        if use_store:
+            _save_table(key, table)
     _cache[key] = table
     held = sum(t.nbytes for t in _cache.values())
     while held > _CACHE_BYTES and len(_cache) > 1:
         held -= _cache.popitem(last=False)[1].nbytes
     return table
+
+
+# ---------------------------------------------------------------------------
+# the on-disk table store
+#
+# One ``.npy`` file per table under ``$XDG_CACHE_HOME/fracstab/tables``
+# (``~/.cache/fracstab/tables`` by default), holding a single record: the
+# exact key, then the table.  The key is the in-process one plus a build
+# stamp (the sources that compute a table, numpy's version and the CPU
+# features numpy dispatches to), and a load compares all of it, so a hit
+# returns the very bits a fresh build would.  The file name is a digest of
+# the key and only names the file.  Every failure of the store is a miss:
+# the table is then built in memory, and nothing is reported.
+
+_STORE_ERRORS = (OSError, ValueError, EOFError)
+
+#: The build stamp and its CRC-32, read on first use.
+_stamp: tuple[bytes, int] | None = None
+
+#: Bytes in the store as of this process's last listing plus what it has
+#: written since; None before its first write.
+_store_held: int | None = None
+
+
+def _packed(parts) -> bytes:
+    return b"".join(struct.pack("<Q", len(p)) + p for p in parts)
+
+
+def _build_stamp() -> tuple[bytes, int]:
+    global _stamp
+    if _stamp is None:
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_features__
+        features = ",".join(sorted(f for f, on in __cpu_features__.items() if on))
+        parts = [b"fracstab table", np.__version__.encode(), features.encode()]
+        here = os.path.dirname(os.path.abspath(__file__))
+        for name in ("fraccalc.py", "specfun.py"):
+            with open(os.path.join(here, name), "rb") as f:
+                parts.append(f.read())
+        stamp = _packed(parts)
+        _stamp = stamp, zlib.crc32(stamp)
+    return _stamp
+
+
+def _store_entry(key: tuple[bytes, float, float], n: int) -> tuple[str, bytes, np.dtype]:
+    """File name, stored key bytes and record dtype of ``key``'s table.
+
+    The key is zero-padded to 64 bytes so that the table, which follows
+    the 64-byte aligned ``.npy`` header, stays aligned.
+    """
+    offsets, alpha, weight_exp = key
+    stamp, crc = _build_stamp()
+    tail = _packed([offsets, struct.pack("<dd", alpha, weight_exp)])
+    name = f"{n}-{zlib.crc32(tail, crc):08x}.npy"
+    raw = stamp + tail + bytes(-(len(stamp) + len(tail)) % 64)
+    dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (n + 1, n + 1))])
+    return name, raw, dtype
+
+
+def _store_dir(create: bool) -> str:
+    """The store directory; it must be private to the user."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "fracstab", "tables")
+    if create:
+        os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
+        os.makedirs(path, mode=0o700, exist_ok=True)
+    st = os.stat(path)
+    if st.st_mode & 0o022 or (hasattr(os, "getuid") and st.st_uid != os.getuid()):
+        raise PermissionError(f"{path} is not private to the user")
+    return path
+
+
+def _load_table(key: tuple[bytes, float, float], n: int) -> np.ndarray | None:
+    """The stored table for ``key``, mapped read-only, or None on a miss."""
+    try:
+        name, raw, dtype = _store_entry(key, n)
+        path = os.path.join(_store_dir(create=False), name)
+        stored = np.load(path, mmap_mode="r", allow_pickle=False)
+        if stored.shape != () or stored.dtype != dtype or stored["key"].tobytes() != raw:
+            return None
+        os.utime(path)  # eviction goes by last use
+        return stored["table"].view(np.ndarray)
+    except _STORE_ERRORS:
+        return None
+
+
+def _save_table(key: tuple[bytes, float, float], table: np.ndarray) -> None:
+    """Store ``table`` atomically, then evict the oldest files over budget."""
+    tmp = None
+    try:
+        name, raw, dtype = _store_entry(key, table.shape[0] - 1)
+        if dtype.itemsize > _STORE_BYTES:
+            return
+        store = _store_dir(create=True)
+        path = os.path.join(store, name)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "wb") as f:
+            header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": ()}
+            np.lib.format.write_array_header_1_0(f, header)
+            f.write(raw)
+            f.write(table)
+        os.replace(tmp, path)
+        tmp = None
+        _evict(store, path)
+    except _STORE_ERRORS:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
+def _evict(store: str, newest: str) -> None:
+    """Delete the oldest files while the store exceeds its budget.
+
+    The directory is listed on this process's first write and again only
+    when what it has written since could pass the budget, so a run that
+    stores many small tables does not list the store for each of them.
+    """
+    global _store_held
+    size = os.stat(newest).st_size
+    if _store_held is not None and _store_held + size <= _STORE_BYTES:
+        _store_held += size
+        return
+    files = []
+    with os.scandir(store) as entries:
+        for entry in entries:
+            if entry.path != newest:
+                st = entry.stat()
+                files.append((st.st_mtime_ns, st.st_size, entry.path))
+    held = kept = size
+    for _, nbytes, path in sorted(files, reverse=True):
+        held += nbytes
+        if held > _STORE_BYTES:
+            os.unlink(path)
+        else:
+            kept = held
+    _store_held = kept
 
 
 def _row_blocks(n: int):

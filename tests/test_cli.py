@@ -138,6 +138,22 @@ def test_specfun_erf_far_argument(capsys):
         assert capsys.readouterr().out == "1\n"
 
 
+def test_specfun_negative_values_with_exponent(capsys):
+    # argparse's own pattern takes "-1e308" for an option
+    assert main(["specfun", "erf", "-1e308"]) == 0
+    assert capsys.readouterr().out == "-1\n"
+    assert main(["specfun", "ml", "0.5", "-1e-3"]) == 0
+    assert capsys.readouterr().out == "0.998872620081\n"
+    assert main(["specfun", "erf", "-.5E+0"]) == 0
+    assert capsys.readouterr().out == "-0.520499877813\n"
+
+
+def test_negative_exponent_option_value_reaches_validation(capsys):
+    code = main(["perturb", str(PROBLEMS / "example1.json"), "--epsilon", "-1e-3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: epsilon must be positive, got -0.001\n"
+
+
 def test_package_runs_as_module():
     # `python -m fracstab` goes through the package's __main__ without the
     # runpy warning that re-executing an already imported module gives

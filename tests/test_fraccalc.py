@@ -361,7 +361,7 @@ def test_weighted_table_large_order_against_mpmath():
             assert err <= 1e-14, (i, j, err)
 
 
-def test_run_operator_checks_builds_each_table_once(monkeypatch):
+def test_run_operator_checks_builds_each_table_once(monkeypatch, tmp_path):
     calls = {"requests": 0, "builds": 0}
 
     def counted(fn, kind):
@@ -371,6 +371,7 @@ def test_run_operator_checks_builds_each_table_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fraccalc, "_cache", type(fraccalc._cache)())
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # an empty table store
     monkeypatch.setattr(fraccalc, "_shared_table", counted(fraccalc._shared_table, "requests"))
     for name in ("_build_plain_table", "_build_weighted_table"):
         monkeypatch.setattr(fraccalc, name, counted(getattr(fraccalc, name), "builds"))

@@ -5,9 +5,12 @@ Every number is the median wall time of fresh Python processes:
 * ``builds``: one plain and one weighted table build on example 5's mesh
   (psi = log, alpha = 1/2, default grading) at n = 256, 1024 and 2048;
   the import and the mesh are not timed.
-* ``cli_large``: the four requests of the ``cli-large`` workload
-  (``solve --n 2048`` on examples 5 and 7, ``solve --n 1024`` on example
-  1, ``verify-ops``), timed from process start to exit.
+* ``cli_large_cold`` and ``cli_large_warm``: the four requests of the
+  ``cli-large`` workload (``solve --n 2048`` on examples 5 and 7,
+  ``solve --n 1024`` on example 1, ``verify-ops``), timed from process
+  start to exit.  A cold process gets a fresh, empty table store
+  (``XDG_CACHE_HOME``); a warm one the tree's own store, filled by an
+  untimed run of each request first.
 
 Each entry also records the peak RSS of its processes.  With
 ``--baseline DIR`` (a checkout of another commit) both trees are measured
@@ -25,8 +28,10 @@ import json
 import os
 import platform
 import statistics
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -72,17 +77,19 @@ print(json.dumps({
 """
 
 
-def _env(tree: Path) -> dict:
+def _env(tree: Path, store: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
+    env["XDG_CACHE_HOME"] = str(store)
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
     return env
 
 
-def _run(tree: Path, argv: list[str]) -> tuple[float, str, float]:
-    """Wall seconds, stdout and peak RSS in MB of one child process."""
+def _run(tree: Path, argv: list[str], store: Path) -> tuple[float, str, float]:
+    """Wall seconds, stdout and peak RSS in MB of one child process whose
+    table store is ``store``."""
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=tree, env=_env(tree),
+    proc = subprocess.Popen(argv, cwd=tree, env=_env(tree, store),
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     out = proc.stdout.read().decode()
     _, status, usage = os.wait4(proc.pid, 0)
@@ -110,25 +117,35 @@ def _summary(runs: list[float], rss: list[float]) -> dict:
 def _jobs() -> list[tuple[tuple[str, ...], list[str]]]:
     jobs = [(("builds", kind, str(n)), [sys.executable, "-c", BUILD, kind, str(n)])
             for kind in ("plain", "weighted") for n in SIZES]
-    jobs += [(("cli_large", name), [sys.executable, "-m", "fracstab", *args])
-             for name, args in REQUESTS.items()]
+    jobs += [((f"cli_large_{state}", name), [sys.executable, "-m", "fracstab", *args])
+             for state in ("cold", "warm") for name, args in REQUESTS.items()]
     return jobs
 
 
-def measure(trees: dict[str, Path], repeats: int) -> dict:
+def measure(trees: dict[str, Path], repeats: int, scratch: Path) -> dict:
     """Per tree, the summary of every job; the trees of one job run back to
     back, each repeat in the other order, so host drift hits both alike."""
     labels = list(trees)
+    warm = {label: scratch / f"warm-{label}" for label in labels}
+    for label in labels:
+        for key, argv in _jobs():
+            if key[0] == "cli_large_warm":
+                _run(trees[label], argv, warm[label])
     samples = {label: {} for label in labels}
     for rep in range(repeats):
         for key, argv in _jobs():
             for label in labels if rep % 2 == 0 else labels[::-1]:
-                wall, out, rss = _run(trees[label], argv)
+                store = warm[label]
+                if key[0] == "cli_large_cold":
+                    store = Path(tempfile.mkdtemp(dir=scratch))
+                wall, out, rss = _run(trees[label], argv, store)
+                if key[0] == "cli_large_cold":
+                    shutil.rmtree(store)
                 took = float(out) if key[0] == "builds" else wall
                 samples[label].setdefault(key, []).append((took, rss))
     result = {}
     for label, got in samples.items():
-        entry = {"git_sha": _sha(trees[label]), "builds": {}, "cli_large": {}}
+        entry = {"git_sha": _sha(trees[label])}
         for key, pairs in got.items():
             node = entry
             for part in key[:-1]:
@@ -160,10 +177,12 @@ def main() -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": ROOT}
-    _, host, _ = _run(ROOT, [sys.executable, "-c", SIMD])
+    with tempfile.TemporaryDirectory() as scratch:
+        _, host, _ = _run(ROOT, [sys.executable, "-c", SIMD], Path(scratch))
+        measured = measure(trees, args.repeats, Path(scratch))
     doc = {
         "what": "median wall time of fresh processes: table builds on example 5's mesh "
-                "and the four cli-large requests",
+                "and the four cli-large requests with an empty and a filled table store",
         "repeats": args.repeats,
         "host": {
             **json.loads(host),
@@ -172,12 +191,13 @@ def main() -> int:
             "cpus": os.cpu_count(),
             "threads": "OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1",
         },
-        "trees": measure(trees, args.repeats),
+        "trees": measured,
     }
     if args.baseline is not None:
         base, change = doc["trees"]["baseline"], doc["trees"]["change"]
         doc["speedup_baseline_over_change"] = {
-            part: _ratios(base[part], change[part]) for part in ("builds", "cli_large")
+            part: _ratios(base[part], change[part])
+            for part in ("builds", "cli_large_cold", "cli_large_warm")
         }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
