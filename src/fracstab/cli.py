@@ -441,12 +441,15 @@ def cmd_verify_ops(args) -> int:
 # parser wiring
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e-3`` as a negative number, not an option: argparse's own
-    pattern knows only ``-2`` and ``-2.5``.  Subcommand parsers inherit it."""
+    """Reads ``-1e-3`` and ``-inf`` as negative numbers, not options:
+    argparse's own pattern knows only ``-2`` and ``-2.5``.  Subcommand
+    parsers inherit it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -390,15 +390,14 @@ def _store_entry(key: tuple[bytes, float, float], n: int) -> tuple[str, bytes, n
     return name, raw, dtype
 
 
-def _store_dir(create: bool) -> str:
-    """The store directory; it must be private to the user."""
+def _store_dir() -> str:
+    """The store directory, created on first use; it must be private to the user."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
     path = os.path.join(base, "fracstab", "tables")
-    if create:
-        os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
-        os.makedirs(path, mode=0o700, exist_ok=True)
+    os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
+    os.makedirs(path, mode=0o700, exist_ok=True)
     st = os.stat(path)
     if st.st_mode & 0o022 or (hasattr(os, "getuid") and st.st_uid != os.getuid()):
         raise PermissionError(f"{path} is not private to the user")
@@ -409,9 +408,10 @@ def _load_table(key: tuple[bytes, float, float], n: int) -> np.ndarray | None:
     """The stored table for ``key``, mapped read-only, or None on a miss."""
     try:
         name, raw, dtype = _store_entry(key, n)
-        path = os.path.join(_store_dir(create=False), name)
+        path = os.path.join(_store_dir(), name)
         stored = np.load(path, mmap_mode="r", allow_pickle=False)
-        if stored.shape != () or stored.dtype != dtype or stored["key"].tobytes() != raw:
+        if (not isinstance(stored, np.memmap) or stored.shape != ()
+                or stored.dtype != dtype or stored["key"].tobytes() != raw):
             return None
         os.utime(path)  # eviction goes by last use
         return stored["table"].view(np.ndarray)
@@ -426,7 +426,7 @@ def _save_table(key: tuple[bytes, float, float], table: np.ndarray) -> None:
         name, raw, dtype = _store_entry(key, table.shape[0] - 1)
         if dtype.itemsize > _STORE_BYTES:
             return
-        store = _store_dir(create=True)
+        store = _store_dir()
         path = os.path.join(store, name)
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "wb") as f:

@@ -146,6 +146,9 @@ def test_specfun_negative_values_with_exponent(capsys):
     assert capsys.readouterr().out == "0.998872620081\n"
     assert main(["specfun", "erf", "-.5E+0"]) == 0
     assert capsys.readouterr().out == "-0.520499877813\n"
+    # a non-finite value reaches the function's own check
+    assert main(["specfun", "erf", "-inf"]) == 2
+    assert capsys.readouterr().err == "error: erf_fn requires a finite argument, got -inf\n"
 
 
 def test_negative_exponent_option_value_reaches_validation(capsys):

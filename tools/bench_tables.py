@@ -134,12 +134,11 @@ def measure(trees: dict[str, Path], repeats: int, scratch: Path) -> dict:
     samples = {label: {} for label in labels}
     for rep in range(repeats):
         for key, argv in _jobs():
+            cold = key[0] == "cli_large_cold"
             for label in labels if rep % 2 == 0 else labels[::-1]:
-                store = warm[label]
-                if key[0] == "cli_large_cold":
-                    store = Path(tempfile.mkdtemp(dir=scratch))
+                store = Path(tempfile.mkdtemp(dir=scratch)) if cold else warm[label]
                 wall, out, rss = _run(trees[label], argv, store)
-                if key[0] == "cli_large_cold":
+                if cold:
                     shutil.rmtree(store)
                 took = float(out) if key[0] == "builds" else wall
                 samples[label].setdefault(key, []).append((took, rss))
