@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -337,20 +338,18 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> np.ndarray:
 # One ``.npy`` file per table under ``$XDG_CACHE_HOME/fracstab/tables``
 # (``~/.cache/fracstab/tables`` by default), holding a single record: the
 # exact key, then the table.  The key is the in-process one plus a build
-# stamp (the sources that compute a table, numpy's version and the CPU
-# features numpy dispatches to), and a load compares all of it, so a hit
-# returns the very bits a fresh build would.  The file name is a digest of
-# the key and only names the file.  Every failure of the store is a miss:
-# the table is then built in memory, and nothing is reported.
+# stamp (the sources that compute a table, numpy's version, the CPU
+# features numpy dispatches to, the Python build, the machine and the C
+# library), and a load compares all of it, so a hit returns the very bits
+# a fresh build would.  A file is synced to disk before it gets its name.
+# The file name is a digest of the key and only names the file.  Every
+# failure of the store is a miss: the table is then built in memory, and
+# nothing is reported.
 
 _STORE_ERRORS = (OSError, ValueError, EOFError)
 
 #: The build stamp and its CRC-32, read on first use.
 _stamp: tuple[bytes, int] | None = None
-
-#: Bytes in the store as of this process's last listing plus what it has
-#: written since; None before its first write.
-_store_held: int | None = None
 
 
 def _packed(parts) -> bytes:
@@ -365,7 +364,14 @@ def _build_stamp() -> tuple[bytes, int]:
         except ImportError:  # numpy < 2
             from numpy.core._multiarray_umath import __cpu_features__
         features = ",".join(sorted(f for f, on in __cpu_features__.items() if on))
-        parts = [b"fracstab table", np.__version__.encode(), features.encode()]
+        # numpy's scalar loops and math.exp/log/pow call the C math library
+        try:
+            libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+        except (AttributeError, ValueError, OSError):  # not glibc, or not POSIX
+            libc = ""
+        machine = os.uname().machine if hasattr(os, "uname") else ""
+        parts = [b"fracstab table", np.__version__.encode(), features.encode(),
+                 sys.version.encode(), sys.platform.encode(), machine.encode(), libc.encode()]
         here = os.path.dirname(os.path.abspath(__file__))
         for name in ("fraccalc.py", "specfun.py"):
             with open(os.path.join(here, name), "rb") as f:
@@ -434,6 +440,9 @@ def _save_table(key: tuple[bytes, float, float], table: np.ndarray) -> None:
             np.lib.format.write_array_header_1_0(f, header)
             f.write(raw)
             f.write(table)
+            # on disk before the rename, so a crash cannot leave a named file
+            # whose key is there but whose table is not
+            os.fsync(f.fileno())
         os.replace(tmp, path)
         tmp = None
         _evict(store, path)
@@ -446,31 +455,18 @@ def _save_table(key: tuple[bytes, float, float], table: np.ndarray) -> None:
 
 
 def _evict(store: str, newest: str) -> None:
-    """Delete the oldest files while the store exceeds its budget.
-
-    The directory is listed on this process's first write and again only
-    when what it has written since could pass the budget, so a run that
-    stores many small tables does not list the store for each of them.
-    """
-    global _store_held
-    size = os.stat(newest).st_size
-    if _store_held is not None and _store_held + size <= _STORE_BYTES:
-        _store_held += size
-        return
+    """Delete the oldest files while the store exceeds its budget."""
     files = []
     with os.scandir(store) as entries:
         for entry in entries:
             if entry.path != newest:
                 st = entry.stat()
                 files.append((st.st_mtime_ns, st.st_size, entry.path))
-    held = kept = size
+    held = os.stat(newest).st_size
     for _, nbytes, path in sorted(files, reverse=True):
         held += nbytes
         if held > _STORE_BYTES:
             os.unlink(path)
-        else:
-            kept = held
-    _store_held = kept
 
 
 def _row_blocks(n: int):

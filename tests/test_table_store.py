@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ def store(monkeypatch, tmp_path):
     an empty in-process cache."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(fraccalc, "_cache", OrderedDict())
-    monkeypatch.setattr(fraccalc, "_store_held", None)
     monkeypatch.setattr(fraccalc, "_STORE_MIN_BYTES", 0)
     return tmp_path / "fracstab" / "tables"
 
@@ -192,6 +192,51 @@ def test_disabled_cpu_feature_writes_a_separate_entry(tmp_path):
         XDG_CACHE_HOME=str(tmp_path), NPY_DISABLE_CPU_FEATURES=enabled[-1]))
     assert proc.returncode == 0, proc.stderr
     assert len(_files(store)) == 2
+
+
+def _other_libc(monkeypatch):
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 0.0", raising=False)
+
+
+def _other_machine(monkeypatch):
+    monkeypatch.setattr(os, "uname", lambda: SimpleNamespace(machine="other"), raising=False)
+
+
+def _other_python(monkeypatch):
+    monkeypatch.setattr(sys, "version", sys.version + " other")
+
+
+def _other_platform(monkeypatch):
+    monkeypatch.setattr(sys, "platform", sys.platform + "-other")
+
+
+@pytest.mark.parametrize("change", [_other_libc, _other_machine, _other_python, _other_platform])
+def test_changed_build_stamp_writes_a_separate_entry(store, monkeypatch, change):
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 16)
+    monkeypatch.setattr(fraccalc, "_stamp", None)
+    fraccalc._shared_table(mesh, 0.5, 0.0)
+    assert len(_files(store)) == 1
+    change(monkeypatch)
+    monkeypatch.setattr(fraccalc, "_stamp", None)
+    fraccalc._cache.clear()
+    fraccalc._shared_table(mesh, 0.5, 0.0)
+    assert len(_files(store)) == 2
+
+
+def test_file_is_synced_before_it_is_named(store, monkeypatch):
+    calls = []
+
+    def logged(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(os, "fsync", logged("fsync", os.fsync))
+    monkeypatch.setattr(os, "replace", logged("replace", os.replace))
+    fraccalc._shared_table(build_mesh(PsiMap("identity"), 0.0, 1.0, 16), 0.5, 0.0)
+    assert calls == ["fsync", "replace"]
+    assert len(_files(store)) == 1
 
 
 def test_eviction_keeps_the_newest_file(store, monkeypatch):
