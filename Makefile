@@ -78,5 +78,8 @@ bench-tables:
 # Run the benchmark's smoke tests: they drive the library the way the
 # benchmark does (Solution.iterations, the operator= keywords, the
 # certificate constructors), so a change under src that breaks it shows here.
+# Then run one small traced cli-small cycle, which fails if the layer tracer
+# counts no rhs evaluation or no Mittag-Leffler call (tools/trace_smoke.py).
 bench-smoke:
 	$(PY) -m pytest perfbench/test_smoke.py -q -p no:cacheprovider
+	$(PY) tools/trace_smoke.py

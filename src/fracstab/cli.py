@@ -273,21 +273,17 @@ def solution_to_csv(sol: Solution, p: CauchyProblem) -> str:
     """
     mesh = sol.y.mesh
     w = p.order.weight
-    dx = mesh.offsets
-    lines = ["t,psi_t,g,y_weighted,y,limit_flag"]
-    for i in range(mesh.n + 1):
-        if w > 0.0 and i > 0:
-            g_val = sol.g.values[i] * dx[i] ** (-w)
-            y_val = sol.y.values[i] * dx[i] ** (-w)
-        else:
-            g_val = sol.g.values[i]
-            y_val = sol.y.values[i]
-        flag = 1 if (w > 0.0 and i == 0) else 0
-        lines.append(
-            f"{_num15(mesh.nodes[i])},{_num15(mesh.psi_nodes[i])},"
-            f"{_num15(g_val)},{_num15(sol.y.values[i])},{_num15(y_val)},{flag}"
-        )
-    return "\n".join(lines) + "\n"
+    g, y_weighted = sol.g.values.tolist(), sol.y.values.tolist()
+    y, flags = y_weighted, [0] * len(g)
+    if w > 0.0:
+        # Python's scalar power: numpy's array power differs in the last bit
+        scale = [x ** (-w) for x in mesh.offsets[1:].tolist()]
+        g = g[:1] + [v * s for v, s in zip(g[1:], scale)]
+        y = y[:1] + [v * s for v, s in zip(y[1:], scale)]
+        flags[0] = 1
+    row = "{:.15g},{:.15g},{:.15g},{:.15g},{:.15g},{}".format
+    rows = map(row, mesh.nodes.tolist(), mesh.psi_nodes.tolist(), g, y_weighted, y, flags)
+    return "t,psi_t,g,y_weighted,y,limit_flag\n" + "\n".join(rows) + "\n"
 
 
 def cmd_solve(args) -> int:

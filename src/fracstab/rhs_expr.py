@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -81,17 +81,42 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 
 _VARIABLES = ("t", "y", "d")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-_FUNCTIONS = {
-    "exp": 1,
-    "ln": 1,
-    "cos": 1,
-    "sin": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "erf": 1,
-    "gamma": 1,
-    "E": 2,
+
+
+class _Rule(NamedTuple):
+    """One operator or function.  ``apply`` takes the evaluated arguments;
+    entries of the last one where ``refuses(arg, 0.0)`` holds are refused
+    with ``refusal``, and a non-finite result with "<overflow> produced a
+    non-finite value".  Special functions are looked up when called."""
+
+    apply: Callable
+    arity: int = 1
+    refuses: Callable | None = None
+    refusal: str = ""
+    overflow: str | None = None
+
+
+_RULES = {
+    "+": _Rule(np.add, 2, overflow="addition"),
+    "-": _Rule(np.subtract, 2, overflow="subtraction"),
+    "*": _Rule(np.multiply, 2, overflow="multiplication"),
+    "/": _Rule(np.divide, 2, np.equal, "division by zero", "division"),
+    "^": _Rule(np.power, 2, overflow="power"),
+    "exp": _Rule(np.exp, overflow="exp"),
+    "ln": _Rule(np.log, refuses=np.less_equal, refusal="ln of a nonpositive value"),
+    "cos": _Rule(np.cos),
+    "sin": _Rule(np.sin),
+    "sqrt": _Rule(np.sqrt, refuses=np.less, refusal="sqrt of a negative value"),
+    "abs": _Rule(np.abs),
+    "erf": _Rule(lambda z: _elementwise(erf_fn, z)),
+    "gamma": _Rule(lambda z: _elementwise(gamma_fn, z)),
+    # E(mu, z); mu was folded to a literal while parsing
+    "E": _Rule(lambda mu, z: mittag_leffler_many(mu, z), 2),
 }
+_FUNCTIONS = {name: rule.arity for name, rule in _RULES.items() if name.isidentifier()}
+
+# what a special function raises for an argument it cannot evaluate
+_SPECIAL_ERRORS = (DomainError, RangeError, ConvergenceError)
 
 #: Names a parameter may not shadow: variables, constants, functions.
 RESERVED_NAMES = frozenset(_VARIABLES) | frozenset(_CONSTANTS) | frozenset(_FUNCTIONS)
@@ -267,7 +292,7 @@ def parse_expression(
     if parameters is None:
         parameters = {}
     for pname, pval in parameters.items():
-        if pname in _VARIABLES or pname in _CONSTANTS or pname in _FUNCTIONS:
+        if pname in RESERVED_NAMES:
             raise ParseError(src, 0, f"parameter {pname!r} shadows a reserved name")
         if not math.isfinite(float(pval)):
             raise ParseError(src, 0, f"parameter {pname!r} has a non-finite value")
@@ -279,23 +304,34 @@ def parse_expression(
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _first_bad_t(env: dict, bad) -> float | None:
+def _t_at(env: dict, index) -> float | None:
+    """The abscissa of entry ``index`` of the evaluated arrays."""
     t = env.get("t")
     if t is None:
         return None
-    if np.ndim(bad) == 0:
-        return float(np.ravel(t)[0]) if np.ndim(t) else float(t)
-    idx = int(np.argmax(bad))
-    if np.ndim(t):
-        return float(np.ravel(t)[idx])
-    return float(t)
+    return float(np.ravel(t)[index]) if np.ndim(t) else float(t)
 
 
-def _check_finite(value, env: dict, what: str):
-    bad = ~np.isfinite(value)
+def _refuse(bad, reason: str, env: dict) -> None:
     if np.any(bad):
-        raise EvaluationError(f"{what} produced a non-finite value", _first_bad_t(env, bad))
-    return value
+        raise EvaluationError(reason, _t_at(env, np.argmax(bad)))
+
+
+def _first_failing_t(rule: _Rule, args: list, env: dict, kind: type) -> float | None:
+    """Where the shortest prefix of the last argument ends that ``rule``
+    refuses with a ``kind`` error: the first node at which it appears."""
+    head, last = args[:-1], np.ravel(args[-1])
+    lo, hi = 0, last.size  # last[:lo] gives no kind error, last[:hi] does
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            rule.apply(*head, last[:mid])
+            lo = mid
+        except kind:
+            hi = mid
+        except _SPECIAL_ERRORS:
+            lo = mid
+    return _t_at(env, hi - 1)
 
 
 def _eval(node: Expr, env: dict):
@@ -306,58 +342,19 @@ def _eval(node: Expr, env: dict):
     if isinstance(node, Neg):
         return -_eval(node.operand, env)
     if isinstance(node, BinOp):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        with np.errstate(all="ignore"):
-            if node.op == "+":
-                return _check_finite(left + right, env, "addition")
-            if node.op == "-":
-                return _check_finite(left - right, env, "subtraction")
-            if node.op == "*":
-                return _check_finite(left * right, env, "multiplication")
-            if node.op == "/":
-                bad = np.equal(right, 0.0)
-                if np.any(bad):
-                    raise EvaluationError("division by zero", _first_bad_t(env, bad))
-                return _check_finite(left / right, env, "division")
-            return _check_finite(np.power(left, right), env, "power")
-    return _eval_call(node, env)
-
-
-def _eval_call(node: Call, env: dict):
-    arg = _eval(node.args[-1], env)
-    name = node.func
-    with np.errstate(all="ignore"):
-        if name == "exp":
-            return _check_finite(np.exp(arg), env, "exp")
-        if name == "ln":
-            bad = np.less_equal(arg, 0.0)
-            if np.any(bad):
-                raise EvaluationError("ln of a nonpositive value", _first_bad_t(env, bad))
-            return np.log(arg)
-        if name == "cos":
-            return np.cos(arg)
-        if name == "sin":
-            return np.sin(arg)
-        if name == "sqrt":
-            bad = np.less(arg, 0.0)
-            if np.any(bad):
-                raise EvaluationError("sqrt of a negative value", _first_bad_t(env, bad))
-            return np.sqrt(arg)
-        if name == "abs":
-            return np.abs(arg)
-        if name == "erf":
-            return _elementwise(erf_fn, arg)
-        if name == "gamma":
-            try:
-                return _elementwise(gamma_fn, arg)
-            except DomainError as exc:
-                raise EvaluationError(str(exc), _first_bad_t(env, True)) from exc
-        # E(mu, z); mu was folded to a literal while parsing
-        try:
-            return mittag_leffler_many(node.args[0].value, arg)
-        except (DomainError, RangeError, ConvergenceError) as exc:
-            raise EvaluationError(str(exc), _first_bad_t(env, True)) from exc
+        rule, operands = _RULES[node.op], (node.left, node.right)
+    else:
+        rule, operands = _RULES[node.func], node.args
+    args = [_eval(a, env) for a in operands]
+    if rule.refuses is not None:
+        _refuse(rule.refuses(args[-1], 0.0), rule.refusal, env)
+    try:
+        value = rule.apply(*args)
+    except _SPECIAL_ERRORS as exc:
+        raise EvaluationError(str(exc), _first_failing_t(rule, args, env, type(exc))) from exc
+    if rule.overflow is not None:
+        _refuse(~np.isfinite(value), f"{rule.overflow} produced a non-finite value", env)
+    return value
 
 
 def _elementwise(fn, arg) -> np.ndarray:
@@ -379,8 +376,8 @@ def evaluate(expr: Expr, t, y=0.0, d=0.0):
         On domain violations or non-finite intermediates, carrying the
         offending abscissa when it is known.
     """
-    env = {"t": t, "y": y, "d": d}
-    out = _eval(expr, env)
+    with np.errstate(all="ignore"):
+        out = _eval(expr, {"t": t, "y": y, "d": d})
     if np.ndim(out) == 0:
         # a constant expression broadcasts like any other
         shape = np.broadcast_shapes(np.shape(t), np.shape(y), np.shape(d))

@@ -225,6 +225,21 @@ def test_solve_input_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_solve_error_names_the_failing_node(capsys, tmp_path):
+    # gamma's argument 0.55 - t first turns negative at node 14 of 16, at
+    # t = (14/16)^4 on example 1's mesh, not at the first node
+    doc = json.loads((PROBLEMS / "example1.json").read_text())
+    doc["rhs"] = "0.1*gamma(0.55 - t)*y"
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--n", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gamma_fn requires a finite x > 0, got -0.0361816406")
+    at_t = float(captured.err.rsplit("(at t = ", 1)[1].rstrip(")\n"))
+    assert at_t == pytest.approx((14 / 16) ** 4, rel=1e-12)
+
+
 def test_solve_oversized_n_exits_two(capsys):
     # refused before the mesh allocates anything, however large n is
     for n in (20000, 2**61):

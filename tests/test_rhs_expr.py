@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracstab import rhs_expr
 from fracstab.errors import EvaluationError, ParseError
 from fracstab.rhs_expr import (
     RESERVED_NAMES,
@@ -130,6 +131,33 @@ def test_evaluation_error_carries_location():
     assert info.value.at_t == 0.0
 
 
+@pytest.mark.parametrize(
+    "src,first_bad",
+    [
+        ("gamma(0.55 - t)", 6),  # gamma refuses 0.55 - 0.6 < 0
+        ("E(0.5, 60*t)", 9),     # 60 * 0.9 = 54 exceeds the series bound 50
+    ],
+)
+def test_special_function_error_names_the_failing_node(src, first_bad):
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(EvaluationError) as info:
+        evaluate(parse_expression(src), t=t)
+    assert info.value.at_t == t[first_bad]
+
+
+def test_special_functions_are_looked_up_when_called(monkeypatch):
+    calls = dict.fromkeys(("mittag_leffler_many", "erf_fn", "gamma_fn"), 0)
+    for name in calls:
+        def counting(*args, name=name, original=getattr(rhs_expr, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rhs_expr, name, counting)
+    expr = parse_expression("E(0.5, t) + erf(t) + gamma(t + 1)")
+    evaluate(expr, t=np.linspace(0.0, 1.0, 5))
+    assert all(calls.values()), calls
+
+
 def test_free_variables():
     assert free_variables(parse_expression("1 + pi")) == set()
     assert free_variables(parse_expression("t*y + d")) == {"t", "y", "d"}
@@ -176,3 +204,62 @@ def test_to_source_round_trip_random(src, t):
     lhs = evaluate(expr, t=t, y=0.5, d=-0.5)
     rhs = evaluate(again, t=t, y=0.5, d=-0.5)
     assert rhs == pytest.approx(lhs, rel=1e-14, abs=1e-14)
+
+
+# pairs of a source and the same expression in numpy calls, over every
+# numpy-backed operator and function on domains where none refuses
+_T = np.linspace(0.1, 2.0, 17)
+_Y = np.linspace(-1.5, 1.5, 17)
+_D = np.sin(np.linspace(0.0, 3.0, 17))
+_const = st.floats(min_value=-3.0, max_value=3.0)
+
+_numpy_leaf = st.one_of(
+    _const.map(lambda v: (f"({v!r})", lambda env: v)),
+    st.sampled_from("tyd").map(lambda name: (name, lambda env: env[name])),
+)
+
+
+def _numpy_extend(inner):
+    binary = {"+": np.add, "-": np.subtract, "*": np.multiply}
+    return st.one_of(
+        st.tuples(inner, inner, st.sampled_from(sorted(binary))).map(
+            lambda abo: (
+                f"({abo[0][0]} {abo[2]} {abo[1][0]})",
+                lambda env: binary[abo[2]](abo[0][1](env), abo[1][1](env)),
+            )
+        ),
+        st.tuples(inner, inner).map(
+            lambda ab: (
+                f"({ab[0][0]} / ({ab[1][0]} * {ab[1][0]} + 1))",
+                lambda env: np.divide(
+                    ab[0][1](env),
+                    np.add(np.multiply(ab[1][1](env), ab[1][1](env)), 1.0),
+                ),
+            )
+        ),
+        st.tuples(inner, st.floats(min_value=-1.0, max_value=1.0)).map(
+            lambda ac: (
+                f"((abs({ac[0][0]}) + 1) ^ ({ac[1]!r}))",
+                lambda env: np.power(np.add(np.abs(ac[0][1](env)), 1.0), ac[1]),
+            )
+        ),
+        inner.map(lambda a: (f"(-{a[0]})", lambda env: np.negative(a[1](env)))),
+        inner.map(lambda a: (f"exp(sin({a[0]}))", lambda env: np.exp(np.sin(a[1](env))))),
+        inner.map(
+            lambda a: (
+                f"ln(abs({a[0]}) + 1)",
+                lambda env: np.log(np.add(np.abs(a[1](env)), 1.0)),
+            )
+        ),
+        inner.map(lambda a: (f"cos({a[0]})", lambda env: np.cos(a[1](env)))),
+        inner.map(lambda a: (f"sqrt(abs({a[0]}))", lambda env: np.sqrt(np.abs(a[1](env))))),
+    )
+
+
+@given(st.recursive(_numpy_leaf, _numpy_extend, max_leaves=12))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_evaluation_matches_numpy_bit_for_bit(pair):
+    src, reference = pair
+    env = {"t": _T, "y": _Y, "d": _D}
+    out = evaluate(parse_expression(src), **env)
+    assert np.array_equal(out, np.broadcast_to(reference(env), out.shape)), src
