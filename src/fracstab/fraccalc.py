@@ -20,7 +20,9 @@ a large table need 3 or 4.  The few cells next to ``x0`` and before the
 evaluation node take them as incomplete beta integrals, evaluated by a
 continued fraction.  Both kinds of table are built in pieces of about
 256 KiB: rows of the plain table, tiles along the diagonal or down the
-columns of the weighted one.
+columns of the weighted one.  A table is lower triangular, so once built
+it is held, stored and applied as blocks of rows that leave out the zeros
+right of their last row.
 
 The derivative of order ``(alpha, beta)`` is a diagnostic composition:
 integral of order ``(1-beta)(1-alpha)``, first-order derivative in the
@@ -141,6 +143,17 @@ def _lower_beta_many(p: float, q: float, theta: np.ndarray) -> np.ndarray:
 #: rows of the plain table, one tile of the weighted table.
 _BLOCK_BYTES = 256 << 10
 
+#: Rows per block of a table (see ``_block_bounds``); a multiple of 32.
+#: numpy's ``einsum`` sums each row from its start in groups of up to 4
+#: SIMD vectors (32 doubles with AVX-512), so when every block's rows stop
+#: at a multiple of 32 or at the last column, the entries a block leaves out
+#: are zeros that would have added exactly 0, and the blocked product keeps
+#: every bit of the square one.  Heights of 36, 50 and 100 changed bits.
+_BLOCK_ROWS = 64
+
+#: A table: its row blocks, ``(r1 - r0) x r1`` each (see ``_block_bounds``).
+_Table = tuple[np.ndarray, ...]
+
 #: Byte budget of the process-wide table cache; the newest table always stays.
 _CACHE_BYTES = 128 << 20
 
@@ -189,10 +202,10 @@ _GL_RULES = (
     ])),
 )
 
-#: Built tables, least recently used first, keyed by everything a table
-#: depends on: ``(mesh offsets, alpha, input weight exponent)``.  A hit
-#: therefore returns the very bits a fresh build would.
-_cache: OrderedDict[tuple[bytes, float, float], np.ndarray] = OrderedDict()
+#: Tables and the bytes each holds, least recently used first, keyed by
+#: everything a table depends on: ``(mesh offsets, alpha, input weight
+#: exponent)``.  A hit therefore returns the very bits a fresh build would.
+_cache: OrderedDict[tuple[bytes, float, float], tuple[_Table, int]] = OrderedDict()
 
 
 class FracIntegralOperator:
@@ -202,12 +215,18 @@ class FracIntegralOperator:
     process-wide cache, which maps it from the on-disk store or builds it;
     tables are shared between operators and read-only.  Entry ``[i, j]``
     multiplies the stored value at node ``j`` when evaluating the integral
-    at node ``i``; row 0 is identically zero.  Plain row sums equal
+    at node ``i``; row 0 is identically zero, and so is every entry with
+    ``j > i``.  Plain row sums equal
     ``(psi(t_i) - psi(a))**alpha / gamma(alpha + 1)`` up to rounding,
     which is the exactness-on-constants property the tests pin down.
 
-    A table holds ``(n+1)**2`` doubles; ``build_mesh`` refuses meshes
-    whose table would exceed 1 GiB (n > 11584).
+    A table is a tuple of read-only row blocks (``_block_bounds``): block
+    ``k`` holds rows ``[r0, r1)`` and columns ``[0, r1)``, about half of
+    the ``(n+1)**2`` square (17.3 MB instead of 33.6 MB at n = 2048).  A
+    mapped table holds only its blocks; a table built in this process holds
+    views of the square its build filled.  Builds fill the whole square, so
+    ``build_mesh`` refuses meshes whose square would exceed 1 GiB
+    (n > 11584).
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
@@ -215,9 +234,9 @@ class FracIntegralOperator:
             raise DomainError(f"integral order must be positive, got {alpha!r}")
         self.mesh = mesh
         self.alpha = float(alpha)
-        self._tables: dict[float, np.ndarray] = {}
+        self._tables: dict[float, _Table] = {}
 
-    def _table(self, weight_exp: float) -> np.ndarray:
+    def _table(self, weight_exp: float) -> _Table:
         """The table for input stored with ``weight_exp``, fetched on first use."""
         table = self._tables.get(weight_exp)
         if table is None:
@@ -226,7 +245,20 @@ class FracIntegralOperator:
         return table
 
     def row_sums(self) -> np.ndarray:
-        return self._table(0.0).sum(axis=1)
+        """Row sums of the plain table, with the bits of the square's ``.sum(axis=1)``.
+
+        numpy sums a row pairwise over its full length, so each block's rows
+        are zero-padded to ``n + 1`` entries first.
+        """
+        blocks = self._table(0.0)
+        n1 = self.mesh.n + 1
+        out = np.empty(n1)
+        for block in blocks:
+            r1 = block.shape[1]
+            padded = np.zeros((block.shape[0], n1))
+            padded[:, :r1] = block
+            padded.sum(axis=1, out=out[r1 - block.shape[0]:r1])
+        return out
 
     def apply(self, u: GridFunction) -> GridFunction:
         """Integrate ``u``.
@@ -264,14 +296,21 @@ class FracIntegralOperator:
         return GridFunction(self.mesh, out, 1.0 - gamma_out)
 
 
-def _matvec(W: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``W @ u`` summed by numpy in a fixed order, never by BLAS.
+def _matvec(blocks: _Table, u: np.ndarray) -> np.ndarray:
+    """``W @ u`` for the table ``W`` held as ``blocks``, summed by numpy in a
+    fixed order, never by BLAS.
 
-    ``optimize`` must stay off: the optimized ``einsum`` path hands the
-    product back to BLAS, whose ``dgemv`` summation order depends on the
-    BLAS build and moved reported certificates by an ulp.
+    Each block's rows meet ``u[:r1]`` only; with ``_BLOCK_ROWS`` a multiple
+    of 32 that gives the bits of the square product.  ``optimize`` must stay
+    off: the optimized ``einsum`` path hands the product back to BLAS, whose
+    ``dgemv`` summation order depends on the BLAS build and moved reported
+    certificates by an ulp.
     """
-    return np.einsum("ij,j->i", W, u)
+    out = np.empty(u.shape[0])
+    for block in blocks:
+        r1 = block.shape[1]
+        np.einsum("ij,j->i", block, u[:r1], out=out[r1 - block.shape[0]:r1])
+    return out
 
 
 def _pow_diffs(B: np.ndarray, A: np.ndarray, exponents) -> list[np.ndarray]:
@@ -304,31 +343,43 @@ def _pow_diffs(B: np.ndarray, A: np.ndarray, exponents) -> list[np.ndarray]:
     return out
 
 
-def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> np.ndarray:
+def _block_bounds(n: int) -> list[tuple[int, int]]:
+    """Row ranges ``[r0, r1)`` of an ``(n+1)``-row table's blocks, ``_BLOCK_ROWS`` each.
+
+    A block's rows read columns ``[0, r1)``; every entry right of them is zero.
+    """
+    return [(r0, min(r0 + _BLOCK_ROWS, n + 1)) for r0 in range(0, n + 1, _BLOCK_ROWS)]
+
+
+def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
     """The read-only table from ``_cache``; on a miss it is mapped from the
     on-disk store, or built and then stored.
 
     Eviction drops the cache's reference only; operators keep their own.
     """
     key = (mesh.offsets.tobytes(), alpha, weight_exp)
-    table = _cache.get(key)
-    if table is not None:
+    hit = _cache.get(key)
+    if hit is not None:
         _cache.move_to_end(key)
-        return table
+        return hit[0]
     use_store = 8 * (mesh.n + 1) ** 2 >= _STORE_MIN_BYTES
     table = _load_table(key, mesh.n) if use_store else None
     if table is None:
         if weight_exp == 0.0:
-            table = _build_plain_table(mesh, alpha)
+            square = _build_plain_table(mesh, alpha)
         else:
-            table = _build_weighted_table(mesh, alpha, 1.0 - weight_exp)
-        table.setflags(write=False)
+            square = _build_weighted_table(mesh, alpha, 1.0 - weight_exp)
+        square.setflags(write=False)
+        table = tuple(square[r0:r1, :r1] for r0, r1 in _block_bounds(mesh.n))
+        nbytes = square.nbytes
         if use_store:
             _save_table(key, table)
-    _cache[key] = table
-    held = sum(t.nbytes for t in _cache.values())
+    else:
+        nbytes = sum(block.nbytes for block in table)
+    _cache[key] = table, nbytes
+    held = sum(nbytes for _, nbytes in _cache.values())
     while held > _CACHE_BYTES and len(_cache) > 1:
-        held -= _cache.popitem(last=False)[1].nbytes
+        held -= _cache.popitem(last=False)[1][1]
     return table
 
 
@@ -337,14 +388,14 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> np.ndarray:
 #
 # One ``.npy`` file per table under ``$XDG_CACHE_HOME/fracstab/tables``
 # (``~/.cache/fracstab/tables`` by default), holding a single record: the
-# exact key, then the table.  The key is the in-process one plus a build
-# stamp (the sources that compute a table, numpy's version, the CPU
-# features numpy dispatches to, the Python build, the machine and the C
-# library), and a load compares all of it, so a hit returns the very bits
-# a fresh build would.  A file is synced to disk before it gets its name.
-# The file name is a digest of the key and only names the file.  Every
-# failure of the store is a miss: the table is then built in memory, and
-# nothing is reported.
+# exact key, then the table's row blocks, one after another.  The key is
+# the in-process one plus a build stamp (the sources that compute a table,
+# numpy's version, the CPU features numpy dispatches to, the Python build,
+# the machine and the C library), and a load compares all of it, so a hit
+# returns the very bits a fresh build would.  A file is synced to disk
+# before it gets its name.  The file name is a digest of the key and only
+# names the file.  Every failure of the store is a miss: the table is then
+# built in memory, and nothing is reported.
 
 _STORE_ERRORS = (OSError, ValueError, EOFError)
 
@@ -384,15 +435,18 @@ def _build_stamp() -> tuple[bytes, int]:
 def _store_entry(key: tuple[bytes, float, float], n: int) -> tuple[str, bytes, np.dtype]:
     """File name, stored key bytes and record dtype of ``key``'s table.
 
-    The key is zero-padded to 64 bytes so that the table, which follows
-    the 64-byte aligned ``.npy`` header, stays aligned.
+    The record is the key, zero-padded to 64 bytes, then the doubles of the
+    row blocks of ``_block_bounds(n)``, each ``(r1 - r0) x r1`` in row
+    order: about half of the ``(n+1)**2`` square.  The padding keeps the
+    blocks, which follow the 64-byte aligned ``.npy`` header, aligned.
     """
     offsets, alpha, weight_exp = key
     stamp, crc = _build_stamp()
     tail = _packed([offsets, struct.pack("<dd", alpha, weight_exp)])
     name = f"{n}-{zlib.crc32(tail, crc):08x}.npy"
     raw = stamp + tail + bytes(-(len(stamp) + len(tail)) % 64)
-    dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (n + 1, n + 1))])
+    size = sum((r1 - r0) * r1 for r0, r1 in _block_bounds(n))
+    dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (size,))])
     return name, raw, dtype
 
 
@@ -410,8 +464,8 @@ def _store_dir() -> str:
     return path
 
 
-def _load_table(key: tuple[bytes, float, float], n: int) -> np.ndarray | None:
-    """The stored table for ``key``, mapped read-only, or None on a miss."""
+def _load_table(key: tuple[bytes, float, float], n: int) -> _Table | None:
+    """The stored table for ``key``, its blocks mapped read-only, or None on a miss."""
     try:
         name, raw, dtype = _store_entry(key, n)
         path = os.path.join(_store_dir(), name)
@@ -420,16 +474,25 @@ def _load_table(key: tuple[bytes, float, float], n: int) -> np.ndarray | None:
                 or stored.dtype != dtype or stored["key"].tobytes() != raw):
             return None
         os.utime(path)  # eviction goes by last use
-        return stored["table"].view(np.ndarray)
+        packed = stored["table"].view(np.ndarray)
+        blocks, start = [], 0
+        for r0, r1 in _block_bounds(n):
+            stop = start + (r1 - r0) * r1
+            blocks.append(packed[start:stop].reshape(r1 - r0, r1))
+            start = stop
+        return tuple(blocks)
     except _STORE_ERRORS:
         return None
 
 
-def _save_table(key: tuple[bytes, float, float], table: np.ndarray) -> None:
-    """Store ``table`` atomically, then evict the oldest files over budget."""
+def _save_table(key: tuple[bytes, float, float], table: _Table) -> None:
+    """Store ``table`` atomically, then evict the oldest files over budget.
+
+    The blocks are written row by row, so no block is copied.
+    """
     tmp = None
     try:
-        name, raw, dtype = _store_entry(key, table.shape[0] - 1)
+        name, raw, dtype = _store_entry(key, table[-1].shape[1] - 1)
         if dtype.itemsize > _STORE_BYTES:
             return
         store = _store_dir()
@@ -439,7 +502,9 @@ def _save_table(key: tuple[bytes, float, float], table: np.ndarray) -> None:
             header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": ()}
             np.lib.format.write_array_header_1_0(f, header)
             f.write(raw)
-            f.write(table)
+            for block in table:
+                for row in block:
+                    f.write(row)
             # on disk before the rename, so a crash cannot leave a named file
             # whose key is there but whose table is not
             os.fsync(f.fileno())

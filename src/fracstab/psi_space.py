@@ -158,9 +158,9 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     """Construct a graded mesh of ``n`` intervals on ``[a, T]``.
 
     Endpoints are pinned exactly; interior nodes come from inverting the
-    transformed-coordinate grading formula.  Every mesh gets dense
-    ``(n+1)**2`` quadrature tables, so ``n`` whose table would exceed 1 GiB
-    (n > 11584) is refused before anything is allocated.  A grading so steep
+    transformed-coordinate grading formula.  A quadrature table is built
+    by filling a dense ``(n+1)**2`` square, so ``n`` whose square would
+    exceed 1 GiB (n > 11584) is refused before anything is allocated.  A grading so steep
     that the first offsets underflow to zero-width cells is refused too.
     """
     a = float(a)

@@ -195,8 +195,8 @@ _POWER_GUARD = 1e290
 _CANCELLATION_LIMIT = 1e-8
 
 
-# overflow and log(0) are caught by the explicit finiteness checks
-@np.errstate(over="ignore", divide="ignore")
+# overflow, log(0) and inf - inf are caught by the explicit finiteness checks
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def mittag_leffler_many(mu: float, z: np.ndarray) -> np.ndarray:
     """One-parameter Mittag-Leffler ``sum_k z**k / gamma(mu*k + 1)``, elementwise.
 

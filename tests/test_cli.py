@@ -173,6 +173,24 @@ def test_package_runs_as_module():
     assert proc.stdout.strip() == "1.77245385091"
 
 
+def test_specfun_overflowing_series_exits_cleanly():
+    # at z = 30 the partial sums overflow and the Kahan step meets inf - inf;
+    # the finiteness check reports it, and numpy prints no warning
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracstab",
+         "specfun", "ml", "0.5", "30"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_specfun_error_paths(capsys):
     assert main(["specfun", "gamma", "1", "2"]) == 2
     assert main(["specfun", "gamma", "-1"]) == 2

@@ -5,6 +5,9 @@ itself never imports.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +29,10 @@ from fracstab.fraccalc import (
     run_operator_checks,
 )
 from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh
+from fracstab.solver import default_grading, picard_solve
 from fracstab.specfun import gamma_fn, mittag_leffler_many
+
+from conftest import ROOT, load_example
 
 PSI_CASES = [
     (PsiMap("identity"), 0.0, 1.0),
@@ -387,9 +393,114 @@ def test_tables_are_shared_and_read_only():
     for weight in (0.0, 0.25):
         first, second = (op._table(weight) for op in ops)
         assert first is second
-        assert first.flags.writeable is False
+        assert all(block.flags.writeable is False for block in first)
         with pytest.raises(ValueError):
-            first[1, 0] = 0.0
+            first[0][1, 0] = 0.0
+
+
+def _blocked(W: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(W[r0:r1, :r1] for r0, r1 in fraccalc._block_bounds(W.shape[0] - 1))
+
+
+def _random_lower(rng, rows: int, cols: int, first_row: int = 0) -> np.ndarray:
+    """Rows ``first_row ...`` of a random lower-triangular matrix.
+
+    Each row is normal with its own scale between 1e-30 and 1e5: entries of
+    one size, so that a change of summation order shows in the bits.
+    """
+    W = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-30.0, 5.0, (rows, 1))
+    W[np.arange(cols) > np.arange(first_row, first_row + rows)[:, None]] = 0.0
+    return W
+
+
+def _random_vector(rng, n1: int) -> np.ndarray:
+    return rng.standard_normal(n1) * 10.0 ** rng.uniform(-30.0, 5.0)
+
+
+BLOCKED_PRODUCT = """
+import numpy as np
+from fracstab import fraccalc
+rng = np.random.default_rng(20261018)
+for n1 in (1, 31, 33, 64, 65, 300, 2049):
+    W = np.tril(rng.standard_normal((n1, n1)) * 10.0 ** rng.uniform(-30.0, 5.0, (n1, 1)))
+    u = rng.standard_normal(n1) * 10.0 ** rng.uniform(-30.0, 5.0)
+    blocks = tuple(W[r0:r1, :r1] for r0, r1 in fraccalc._block_bounds(n1 - 1))
+    assert np.array_equal(fraccalc._matvec(blocks, u), np.einsum("ij,j->i", W, u)), n1
+print("same")
+"""
+
+
+@pytest.mark.parametrize("block_rows", [32, 64, 128])
+def test_blocked_product_keeps_every_bit(monkeypatch, block_rows):
+    monkeypatch.setattr(fraccalc, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    for n1 in (1, 2, 31, 32, 33, 65, 129, 300, 1000, 2049):
+        W = _random_lower(rng, n1, n1)
+        u = _random_vector(rng, n1)
+        full = np.einsum("ij,j->i", W, u)
+        # views of a square, as a build hands them out, and contiguous
+        # blocks, as a load maps them
+        blocks = _blocked(W)
+        assert np.array_equal(fraccalc._matvec(blocks, u), full), n1
+        assert np.array_equal(fraccalc._matvec(tuple(b.copy() for b in blocks), u), full), n1
+    # skinny rows longer than numpy's 8192-element buffer: rows 8256 ...
+    # of a lower-triangular matrix with 9000 columns, one block ending
+    # at column 8320
+    first, n1 = 8256, 9000
+    W = _random_lower(rng, block_rows, n1, first)
+    u = _random_vector(rng, n1)
+    r1 = first + block_rows
+    for block in (W[:, :r1], W[:, :r1].copy()):
+        got = fraccalc._matvec((block,), u)[first:r1]
+        assert np.array_equal(got, np.einsum("ij,j->i", W, u))
+
+
+def test_blocked_product_keeps_every_bit_on_baseline_simd():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    wide = [f for f in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
+    if not wide:
+        pytest.skip("numpy dispatches to none of the wide x86 features on this host")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(wide))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_PRODUCT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["same"]
+
+
+@pytest.mark.parametrize("example", [1, 5, 7])
+def test_picard_iterates_do_not_depend_on_block_rows(monkeypatch, tmp_path, example):
+    # one block of n + 1 rows is the square product
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    squares = {}
+
+    def memo(build):
+        def wrapper(mesh, *args):
+            key = (build.__name__, mesh.offsets.tobytes(), *args)
+            if key not in squares:
+                squares[key] = build(mesh, *args)
+            return squares[key].copy()
+        return wrapper
+
+    for name in ("_build_plain_table", "_build_weighted_table"):
+        monkeypatch.setattr(fraccalc, name, memo(getattr(fraccalc, name)))
+    p = load_example(example).problem
+    for n in (127, 300, 2048):
+        mesh = build_mesh(p.psi, p.a, p.T, n, default_grading(p.order))
+        solutions = []
+        for block_rows in (10**9, 32, 64, 128):
+            monkeypatch.setattr(fraccalc, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(fraccalc, "_cache", type(fraccalc._cache)())
+            solutions.append(picard_solve(p, mesh))
+        square = solutions[0]
+        for sol in solutions[1:]:
+            assert sol.iterations == square.iterations
+            assert sol.update_norms == square.update_norms
+            assert np.array_equal(sol.g.values, square.g.values)
+            assert np.array_equal(sol.y.values, square.y.values)
 
 
 def test_dense_table_memory_guard():

@@ -1,6 +1,7 @@
 """The on-disk table store: hits return the bits of a fresh build, and no
 failure of the store changes what a request prints or returns."""
 
+import mmap
 import os
 import subprocess
 import sys
@@ -39,6 +40,13 @@ def _env(**extra):
     return env
 
 
+def _owner(array):
+    """The object at the end of ``array``'s chain of bases."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array
+
+
 @pytest.mark.parametrize("n", [1, 40])
 @pytest.mark.parametrize("weight_exp", [0.0, 0.25])
 def test_hit_equals_fresh_build(store, n, weight_exp):
@@ -49,15 +57,59 @@ def test_hit_equals_fresh_build(store, n, weight_exp):
     fraccalc._cache.clear()
     loaded = fraccalc._load_table((mesh.offsets.tobytes(), 0.5, weight_exp), n)
     assert loaded is not None and loaded is not built
-    assert loaded.flags.writeable is False and loaded.flags.aligned
     if weight_exp == 0.0:
         fresh = fraccalc._build_plain_table(mesh, 0.5)
     else:
         fresh = fraccalc._build_weighted_table(mesh, 0.5, 1.0 - weight_exp)
-    assert loaded.dtype == fresh.dtype and np.array_equal(loaded, fresh)
-    # a built table owns its memory; the cache now hands out the mapped one
-    assert built.base is None
-    assert fraccalc._shared_table(mesh, 0.5, weight_exp).base is not None
+    bounds = fraccalc._block_bounds(n)
+    assert len(built) == len(loaded) == len(bounds)
+    for (r0, r1), block, mapped in zip(bounds, built, loaded):
+        assert mapped.flags.writeable is False and mapped.flags.aligned
+        assert block.flags.writeable is False
+        assert mapped.dtype == fresh.dtype and np.array_equal(mapped, fresh[r0:r1, :r1])
+        assert np.array_equal(block, mapped)
+        assert not fresh[r0:r1, r1:].any()
+    # a built table's blocks are views of the square its build filled; the
+    # cache now hands out blocks of the mapped file
+    square = _owner(built[0])
+    assert square.shape == (n + 1, n + 1) and all(_owner(b) is square for b in built)
+    assert isinstance(_owner(fraccalc._shared_table(mesh, 0.5, weight_exp)[0]), mmap.mmap)
+
+
+def test_full_square_record_is_a_miss(store):
+    # the layout before row blocks: the same key, then the whole square
+    n = 130
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=2.0)
+    key = (mesh.offsets.tobytes(), 0.5, 0.0)
+    square = fraccalc._build_plain_table(mesh, 0.5)
+    name, raw, _ = fraccalc._store_entry(key, n)
+    dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (n + 1, n + 1))])
+    record = np.zeros((), dtype)
+    record["key"] = np.frombuffer(raw, np.uint8)
+    record["table"] = square
+    store.mkdir(parents=True, mode=0o700)
+    np.save(store / name, record)
+    assert fraccalc._load_table(key, n) is None
+    table = fraccalc._shared_table(mesh, 0.5, 0.0)
+    assert _files(store) == [name]
+    fraccalc._cache.clear()
+    loaded = fraccalc._load_table(key, n)
+    assert loaded is not None and len(loaded) == 3
+    for (r0, r1), block, mapped in zip(fraccalc._block_bounds(n), table, loaded):
+        assert np.array_equal(mapped, square[r0:r1, :r1]) and np.array_equal(block, mapped)
+
+
+def test_stored_table_holds_its_blocks_only(store):
+    n = 2048
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=2.0)
+    fraccalc._shared_table(mesh, 0.5, 0.0)
+    (name,) = _files(store)
+    assert (store / name).stat().st_size <= 0.53 * 8 * (n + 1) ** 2
+    # the mapped table's row sums keep the bits of the square's
+    fraccalc._cache.clear()
+    sums = fraccalc.FracIntegralOperator(mesh, 0.5).row_sums()
+    assert isinstance(_owner(fraccalc._cache[(mesh.offsets.tobytes(), 0.5, 0.0)][0][0]), mmap.mmap)
+    assert np.array_equal(sums, fraccalc._build_plain_table(mesh, 0.5).sum(axis=1))
 
 
 COLD_WARM = """
