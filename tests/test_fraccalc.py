@@ -473,7 +473,8 @@ def test_blocked_product_keeps_every_bit_on_baseline_simd():
 
 @pytest.mark.parametrize("example", [1, 5, 7])
 def test_picard_iterates_do_not_depend_on_block_rows(monkeypatch, tmp_path, example):
-    # one block of n + 1 rows is the square product
+    # one block of n + 1 rows is the square product; each table is built
+    # once and then only cut into blocks of another height
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     squares = {}
 
@@ -482,7 +483,7 @@ def test_picard_iterates_do_not_depend_on_block_rows(monkeypatch, tmp_path, exam
             key = (build.__name__, mesh.offsets.tobytes(), *args)
             if key not in squares:
                 squares[key] = build(mesh, *args)
-            return squares[key].copy()
+            return squares[key]
         return wrapper
 
     for name in ("_build_plain_table", "_build_weighted_table"):
