@@ -68,27 +68,36 @@ class StabilityCertificate:
     def ulam_hyers(cls, p: CauchyProblem) -> "StabilityCertificate":
         """Closed-form plain stability constant, evaluated at t = T.
 
-        c_f = (span**alpha / Gamma(alpha+1)) * E_alpha(k/(1-l) * span**alpha)
-        with span = psi(T) - psi(a) and (k, l) the problem's constants.
-        Requires the contraction ratio < 1.
+        c_f = span**alpha / (Gamma(alpha+1) * (1-l)) * E_alpha(k/(1-l) * span**alpha)
+        with span = psi(T) - psi(a) and (k, l) the problem's constants.  A
+        residual e with |e| <= eps moves the derivative slot by at most
+        (k*|dy| + eps)/(1-l), hence the 1/(1-l) in front of the
+        psi-Gronwall closed form.  Requires the contraction ratio < 1.
         """
         _certified_ratio(p)
         k, l = p.lipschitz
         alpha = p.order.alpha
         span = p.psi.value(p.T) - p.psi.value(p.a)
-        lead = span**alpha / gamma_fn(alpha + 1.0)
+        lead = span**alpha / (gamma_fn(alpha + 1.0) * (1.0 - l))
         return cls(c_f=lead * mittag_leffler(alpha, k / (1.0 - l) * span**alpha))
 
     @classmethod
     def ulam_hyers_rassias(
         cls, p: CauchyProblem, phi: Expr, lambda_phi: float
     ) -> "StabilityCertificate":
-        """Comparison-weighted constant: lambda_phi over one minus the ratio."""
+        """Comparison-weighted constant c_f = lambda_phi / ((1-l) * (1-ratio)).
+
+        ``ratio`` is the contraction ratio of :func:`certify_unique`, and the
+        1/(1-l) carries the residual through the derivative slot, as in
+        :meth:`ulam_hyers`.
+        """
         if not (math.isfinite(lambda_phi) and lambda_phi > 0.0):
             raise DomainError(
                 f"comparison coefficient must be positive, got {lambda_phi!r}"
             )
-        return cls(c_f=lambda_phi / (1.0 - _certified_ratio(p)), phi=phi)
+        ratio = _certified_ratio(p)
+        _, l = p.lipschitz
+        return cls(c_f=lambda_phi / ((1.0 - l) * (1.0 - ratio)), phi=phi)
 
 
 def _certified_ratio(p: CauchyProblem) -> float:

@@ -411,7 +411,7 @@ def test_certify_json_frozen(capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["certified"] is True
     assert info["ratio"] == pytest.approx(0.31400159841825265, rel=1e-13)
-    assert info["c_f_uh"] == pytest.approx(1.5924144658315067, rel=1e-13)
+    assert info["c_f_uh"] == pytest.approx(1.7693494064794517, rel=1e-13)
     assert info["lipschitz_source"] == "declared"
 
 
@@ -420,7 +420,7 @@ def test_certify_uses_declared_lambda_phi_when_sound(capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["lambda_phi_sound"] is True
     assert info["lambda_phi_used"] == info["lambda_phi_declared"]
-    assert info["c_f_uhr"] == pytest.approx(1.199622819623711, rel=1e-12)
+    assert info["c_f_uhr"] == pytest.approx(1.2627608627618012, rel=1e-12)
 
 
 def test_certify_text_reports_declared_lambda_phi(capsys):
