@@ -399,6 +399,26 @@ def test_certify_refuses_estimate_with_l_above_one(capsys, tmp_path):
     assert "error: no usable Lipschitz constants" in captured.err
 
 
+def test_failed_lipschitz_estimate(capsys, tmp_path):
+    # y = 1 solves it, but the padded sampling box reaches y > 2, where
+    # ln(2 - y) is undefined: solve runs without a factor, perturb refuses
+    path = tmp_path / "ln.json"
+    path.write_text(json.dumps(mutate(rhs="0.2*ln(2 - y)")))
+    note = "note: Lipschitz estimation failed: right-hand side not evaluable"
+    assert main(["solve", str(path), "--n", "32"]) == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err[0].startswith(note)
+    assert err[-1] == "contraction factor: unavailable"
+    assert captured.out.startswith("t,psi_t,g,y_weighted,y,limit_flag\n")
+    assert main(["perturb", str(path), "--n", "32"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[0].startswith(note)
+    assert err[1] == "error: no usable Lipschitz constants; declare them in the file"
+
+
 def test_solve_nonconvergence_exit(capsys, tmp_path):
     runaway = tmp_path / "runaway.json"
     runaway.write_text(json.dumps(mutate(rhs="30*y")))
@@ -437,6 +457,20 @@ def test_certify_text_reports_declared_lambda_phi(capsys):
         f"lambda_phi declared: {num['lambda_phi_declared']} (sound)",
         f"c_f (comparison-weighted): {num['c_f_uhr']}",
     ]
+
+
+def test_certify_uses_the_estimate_when_lambda_phi_is_not_declared(capsys, tmp_path):
+    doc = json.loads((PROBLEMS / "example5.json").read_text())
+    del doc["lambda_phi"]
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", str(path), "--json"]) == 0
+    captured = capsys.readouterr()
+    info = json.loads(captured.out)
+    assert "lambda_phi_declared" not in info and "lambda_phi_sound" not in info
+    assert info["lambda_phi_used"] == info["lambda_phi_hat"]
+    assert info["lambda_phi_hat"] == pytest.approx(0.8862213323756123, rel=1e-9)
+    assert captured.err == ""
 
 
 def test_certify_falls_back_on_unsound_lambda_phi(capsys):

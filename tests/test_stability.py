@@ -19,6 +19,7 @@ from fracstab.stability import (
     PerturbationSpec,
     StabilityCertificate,
     estimate_lambda_phi,
+    lambda_phi_in_force,
     perturb_and_check,
     report_to_csv,
 )
@@ -86,6 +87,14 @@ def test_estimate_lambda_phi_frozen():
     assert lam == pytest.approx(LAMBDA_HAT_EX5, rel=1e-9)
     # the mesh chord under-estimates the continuum coefficient sqrt(pi)/2
     assert lam <= SQRT_PI_HALF + 1e-6
+
+
+def test_lambda_phi_in_force_without_a_declared_value():
+    # nothing declared: the mesh estimate is used, and soundness is unknown
+    pf = load_example(5)
+    mesh = _mesh_for(pf.problem, 256)
+    lam_hat = estimate_lambda_phi(pf.problem, pf.phi, mesh)
+    assert lambda_phi_in_force(pf.problem, pf.phi, None, mesh) == (lam_hat, lam_hat, None)
 
 
 def test_phi_validation():

@@ -13,7 +13,7 @@ import pytest
 
 from fracstab import fraccalc
 from fracstab.cli import main
-from fracstab.psi_space import PsiMap, build_mesh
+from fracstab.psi_space import GridFunction, PsiMap, build_mesh
 
 from conftest import PROBLEMS, ROOT
 
@@ -289,6 +289,54 @@ def test_file_is_synced_before_it_is_named(store, monkeypatch):
     fraccalc._shared_table(build_mesh(PsiMap("identity"), 0.0, 1.0, 16), 0.5, 0.0)
     assert calls == ["fsync", "replace"]
     assert len(_files(store)) == 1
+
+
+def test_save_failure_leaves_no_file_and_the_same_output(store, monkeypatch, capsys):
+    argv = ["solve", str(PROBLEMS / "example1.json"), "--n", "64"]
+    assert main(argv) == 0
+    reference = capsys.readouterr()
+    for name in _files(store):
+        (store / name).unlink()
+    fraccalc._cache.clear()
+    calls = []
+
+    def failing_fsync(fd):
+        calls.append(fd)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    assert main(argv) == 0
+    assert calls and capsys.readouterr() == reference
+    # neither the temporary file nor a named one is left behind
+    assert _files(store) == []
+
+
+def test_cache_eviction_keeps_bits_and_earlier_operators(monkeypatch):
+    # in memory only, so an evicted table is built again; the cache's
+    # budget holds one n = 300 table, so each new one evicts the other
+    n = 300
+    monkeypatch.setattr(fraccalc, "_cache", OrderedDict())
+    monkeypatch.setattr(fraccalc, "_STORE_MIN_BYTES", float("inf"))
+    monkeypatch.setattr(fraccalc, "_CACHE_BYTES", 8 * (n + 1) ** 2)
+    first, second = (build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=g) for g in (1.0, 2.0))
+
+    def held():
+        return sum(nbytes for _, nbytes in fraccalc._cache.values())
+
+    op = fraccalc.FracIntegralOperator(first, 0.5)
+    u = GridFunction(first, np.cos(first.nodes), 0.0)
+    before = op.apply(u).values
+    table = fraccalc._shared_table(first, 0.5, 0.0)
+    fraccalc._shared_table(second, 0.5, 0.0)
+    assert len(fraccalc._cache) == 1
+    assert held() <= fraccalc._CACHE_BYTES + 8 * (n + 1) ** 2
+    # the operator keeps its own reference to the evicted table
+    assert np.array_equal(op.apply(u).values, before)
+    assert len(fraccalc._cache) == 1
+    again = fraccalc._shared_table(first, 0.5, 0.0)
+    assert again is not table and len(fraccalc._cache) == 1
+    assert len(again) == len(table)
+    assert all(np.array_equal(a, b) for a, b in zip(again, table))
 
 
 def test_eviction_keeps_the_newest_file(store, monkeypatch):
