@@ -941,7 +941,14 @@ _GRONWALL_MAX_TERMS = 400
 
 
 def gronwall_bound(v: GridFunction, g: GridFunction, alpha: float) -> GridFunction:
-    """Nodewise upper bound for ``u`` satisfying ``u <= v + g * I[alpha] u``.
+    """Nodewise upper bound for ``u`` satisfying
+    ``u(t) <= v(t) + g(t) * int_a^t psi'(s) (psi(t)-psi(s))**(alpha-1) u(s) ds``.
+
+    This is the psi-Gronwall lemma (Sousa & Capelas de Oliveira, arXiv
+    1709.03634): ``g`` multiplies the raw kernel integral, which is
+    ``g * gamma_fn(alpha) * I[alpha] u``, not ``g * I[alpha] u``.  For
+    ``u = 1 + 0.5 * I[1/2] u`` pass ``g = 0.5 / gamma_fn(1/2)``; with
+    ``g = 0.5`` the bound at t = 1 reads 3.93, not the solution's 1.95.
 
     For nondecreasing ``v`` the bound is the closed form
     ``v(t) * E(g(t) * gamma_fn(alpha) * (psi(t)-psi(a))**alpha)`` with the
@@ -1051,10 +1058,15 @@ class OperatorCheckReport:
 
 
 def _fit_slope(ns, residuals) -> float:
-    ln = np.log(np.asarray(ns, dtype=float))
-    lr = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
-    slope, _ = np.polyfit(ln, lr, 1)
-    return float(-slope)
+    """Decay rate: minus the least-squares slope of log residual on log n.
+
+    Computed in closed form from numpy sums, like ``_matvec``, so the slope
+    does not depend on the LAPACK build that ``np.polyfit`` would call.
+    """
+    x = np.log(np.asarray(ns, dtype=float))
+    y = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
+    dx = x - x.mean()
+    return float(-np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
 
 
 def run_operator_checks(

@@ -575,6 +575,14 @@ def test_run_operator_checks_single_n_notes():
     assert any("single n" in note for note in report.notes)
 
 
+def test_fit_slope_recovers_a_power_law():
+    # residuals c * n**-p decay at rate p; two points already fix the line
+    for ns in ((64, 128), (64, 128, 256, 512)):
+        for p in (0.5, 1.0, 1.5, 2.0, 3.5):
+            residuals = [3.0 * n**-p for n in ns]
+            assert fraccalc._fit_slope(ns, residuals) == pytest.approx(p, rel=1e-14)
+
+
 def test_run_operator_checks_validation():
     with pytest.raises(DomainError):
         run_operator_checks(families=("spiral",), n_list=(64,))
