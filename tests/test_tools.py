@@ -1,5 +1,7 @@
-"""The comparison script behind `make outputs-diff`."""
+"""The comparison script behind `make outputs-diff`, and the table
+benchmark's child environment."""
 
+import importlib.util
 import subprocess
 import sys
 
@@ -62,3 +64,16 @@ def test_other_changes_fail(tmp_path, changes, line):
     proc = _diff(a, _outputs(tmp_path, "b", **changes))
     assert proc.returncode == 1
     assert proc.stdout == line.format(a=a) + "\n"
+
+
+def test_bench_tables_children_read_cached_bytecode(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "bench_tables", ROOT / "tools" / "bench_tables.py"
+    )
+    bench_tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_tables)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = bench_tables._env(ROOT, tmp_path)
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONPATH"] == str(ROOT / "src")
+    assert env["XDG_CACHE_HOME"] == str(tmp_path)

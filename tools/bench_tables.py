@@ -16,7 +16,10 @@ Each entry also records the peak RSS of its processes.  With
 ``--baseline DIR`` (a checkout of another commit) both trees are measured
 on the same host, back to back per number and in alternating order, and
 the JSON gains the baseline/change ratios of every number.  Children run
-with one BLAS and OpenMP thread.
+with one BLAS and OpenMP thread.  Each tree's ``src`` is byte-compiled
+first (``python -m compileall -q src``) and the children run without
+``PYTHONDONTWRITEBYTECODE``, so every timed process imports current
+bytecode, as perfbench's do, instead of compiling stale modules again.
 
     python tools/bench_tables.py --out BENCH.json [--baseline DIR] [--repeats 5]
 """
@@ -79,6 +82,8 @@ print(json.dumps({
 
 def _env(tree: Path, store: Path) -> dict:
     env = dict(os.environ)
+    # imports read cached bytecode, as an installed CLI does
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env["PYTHONPATH"] = str(tree / "src")
     env["XDG_CACHE_HOME"] = str(store)
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
@@ -126,6 +131,9 @@ def measure(trees: dict[str, Path], repeats: int, scratch: Path) -> dict:
     """Per tree, the summary of every job; the trees of one job run back to
     back, each repeat in the other order, so host drift hits both alike."""
     labels = list(trees)
+    for label in labels:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
+                       cwd=trees[label], env=_env(trees[label], scratch), check=True)
     warm = {label: scratch / f"warm-{label}" for label in labels}
     for label in labels:
         for key, argv in _jobs():
@@ -189,6 +197,8 @@ def main() -> int:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "threads": "OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1",
+            "bytecode": "src compiled with compileall first; "
+                        "children run without PYTHONDONTWRITEBYTECODE",
         },
         "trees": measured,
     }
