@@ -108,32 +108,27 @@ def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"incomplete beta fraction stalled at ({a!r}, {b!r})")
 
 
-def _regularized_beta(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Vectorised regularised incomplete beta, scalar parameters."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    out[x <= 0.0] = 0.0
-    out[x >= 1.0] = 1.0
-    mid = (x > 0.0) & (x < 1.0)
-    if not np.any(mid):
-        return out
-    xm = x[mid]
-    ln_norm = log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-    bt = np.exp(ln_norm + a * np.log(xm) + b * np.log1p(-xm))
-    res = np.empty_like(xm)
-    direct = xm < (a + 1.0) / (a + b + 2.0)
+def _lower_beta_many(p: float, q: float, theta: np.ndarray) -> np.ndarray:
+    """Vectorised incomplete beta ``B(theta; p, q)``, scalar parameters.
+
+    Below ``(p + 1) / (p + q + 2)`` it is the continued fraction times
+    ``theta**p * (1 - theta)**q / p``; above, ``B(p, q)`` minus the
+    mirrored one.
+    """
+    full = math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
+    out = np.where(theta >= 1.0, full, 0.0)
+    mid = (theta > 0.0) & (theta < 1.0)
+    x = theta[mid]
+    front = np.exp(p * np.log(x) + q * np.log1p(-x))
+    res = np.empty_like(x)
+    direct = x < (p + 1.0) / (p + q + 2.0)
     if np.any(direct):
-        res[direct] = bt[direct] * _beta_fraction(a, b, xm[direct]) / a
+        res[direct] = front[direct] * _beta_fraction(p, q, x[direct]) / p
     other = ~direct
     if np.any(other):
-        res[other] = 1.0 - bt[other] * _beta_fraction(b, a, 1.0 - xm[other]) / b
+        res[other] = full - front[other] * _beta_fraction(q, p, 1.0 - x[other]) / q
     out[mid] = res
     return out
-
-
-def _lower_beta_many(p: float, q: float, theta: np.ndarray) -> np.ndarray:
-    full = math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
-    return full * _regularized_beta(p, q, theta)
 
 
 # ---------------------------------------------------------------------------

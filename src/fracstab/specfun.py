@@ -1,7 +1,8 @@
 """Special functions: gamma, error function, one-parameter Mittag-Leffler.
 
-* ``gamma_fn`` uses a 9-term Lanczos approximation valid on the positive
-  axis, accurate to better than 1e-12 relative over ``(0, 170]``.
+* ``gamma_fn`` and ``log_gamma`` are ``math.gamma`` and ``math.lgamma``
+  behind a check for a finite ``x > 0``; where the result overflows double
+  precision they raise ``DomainError``.
 * ``erf_fn`` is the C library's ``erf`` (``math.erf``) behind a finiteness
   check.
 * ``mittag_leffler_many`` sums the defining power series over a whole array
@@ -12,7 +13,7 @@
   ``mittag_leffler`` is the same series at a single argument.
 
 ``gamma_fn`` and ``erf_fn`` are scalar; expression evaluation maps them over
-arrays entry by entry, so every caller gets the same ``math``-library bits.
+arrays entry by entry, so every caller gets the same ``math``-module bits.
 
 A closed form worth knowing for testing: for index one half,
 ``E(z) = exp(z**2) * (1 + erf(z))``.
@@ -34,81 +35,34 @@ __all__ = [
     "mittag_leffler_many",
 ]
 
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# Lanczos coefficients, g = 7, nine terms.  Shifted form: the series is
-# evaluated at x - 1, which keeps the whole positive axis pole-free.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# Gamma overflows double precision just above this abscissa.
-_GAMMA_OVERFLOW = 171.624
-
-# Beyond this x, t**(x - 0.5) can overflow even though gamma(x) itself is
-# representable; switch to the fused exp form there.
-_GAMMA_DIRECT_LIMIT = 140.0
-
-
-def _lanczos_sum(x):
-    """Rational part of the Lanczos formula at x."""
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc = acc + _LANCZOS_COEF[k] / (x - 1.0 + k)
-    return acc
-
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on the positive real axis.
+    """Gamma function on the positive real axis: ``math.gamma`` behind checks.
 
-    Parameters
-    ----------
-    x : float
-        Argument, must satisfy ``x > 0``.
-
-    Returns
-    -------
-    float
-        ``gamma(x)``, relative error below 1e-12 for ``x <= 170``.
+    Raises
+    ------
+    DomainError
+        If ``x`` is not a finite number above 0, or ``gamma(x)`` overflows
+        double precision (``x`` above 171.62 or below about 5.6e-309).
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma_fn requires a finite x > 0, got {x!r}")
-    if x > _GAMMA_OVERFLOW:
-        raise DomainError(f"gamma_fn({x!r}) overflows double precision")
-    if x < 0.5:
-        # the rational part degrades next to the pole; recurse off it
-        return gamma_fn(x + 1.0) / x
-    t = x + _LANCZOS_G - 0.5
-    a = _lanczos_sum(x)
-    if x <= _GAMMA_DIRECT_LIMIT:
-        return _SQRT_TWO_PI * math.pow(t, x - 0.5) * math.exp(-t) * a
-    return _SQRT_TWO_PI * a * math.exp((x - 0.5) * math.log(t) - t)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma_fn({x!r}) overflows double precision") from None
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of gamma for x > 0, usable far beyond the overflow point."""
+    """Natural log of gamma for finite x > 0, far beyond gamma's overflow."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires a finite x > 0, got {x!r}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    t = x + _LANCZOS_G - 0.5
-    return (
-        math.log(_SQRT_TWO_PI)
-        + (x - 0.5) * math.log(t)
-        - t
-        + math.log(_lanczos_sum(x))
-    )
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma({x!r}) overflows double precision") from None
 
 
 def erf_fn(z: float) -> float:

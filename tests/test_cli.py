@@ -200,6 +200,37 @@ def test_specfun_error_paths(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_specfun_gamma_overflows_next_to_the_pole(capsys):
+    # gamma(x) ~ 1/x passes the largest double below about 5.6e-309
+    assert main(["specfun", "gamma", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gamma_fn(1e-320) overflows double precision\n"
+
+
+def test_specfun_gamma_overflows_far_out(capsys):
+    assert main(["specfun", "gamma", "172"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gamma_fn(172.0) overflows double precision\n"
+
+
+def test_rhs_gamma_overflow_names_gamma(capsys, tmp_path):
+    # grading 130 puts the first node past a at 256**-130 = 2**-1040, where
+    # gamma(t) overflows; the error names gamma_fn, not the product
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(mutate(
+        beta=0.0, rhs="0.01*gamma(t)*y", lipschitz={"k": 0.05, "l": 0.0},
+    )))
+    assert main(["solve", str(path), "--n", "256", "--grade", "130"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: gamma_fn(8.487983164e-314) overflows double precision"
+        " (at t = 8.487983164e-314)\n"
+    )
+
+
 def test_solve_csv_shape(capsys, tmp_path):
     out = tmp_path / "sol.csv"
     code = main([
@@ -482,6 +513,18 @@ def test_certify_falls_back_on_unsound_lambda_phi(capsys):
         info["lambda_phi_hat"], rel=1e-15
     )
     assert "warning" in captured.err
+
+
+def test_certify_refuses_ratio_exactly_one(capsys, tmp_path):
+    # alpha = 1, k = 1, l = 0 on [0, 1]: the ratio k / gamma(2) is exactly 1,
+    # on the contraction boundary, so it is not certified
+    doc = mutate(alpha=1.0, rhs="y", lipschitz={"k": 1.0, "l": 0.0})
+    cert = certify_unique(problem_from_dict(doc).problem)
+    assert cert.ratio == 1.0 and not cert.certified
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", str(path)]) == 4
+    assert "not certified" in capsys.readouterr().out
 
 
 def test_certify_not_certified_exit(capsys, tmp_path):

@@ -632,6 +632,21 @@ def test_gronwall_dominates_fixed_point_series():
     u = _discrete_fixed_point(mesh, v, gval, 0.5)
     assert np.all(bound.values >= u - 1e-9)
     assert np.all(bound.values >= v)
+    # gronwall_bound puts g on the raw kernel integral, g * gamma(1/2) *
+    # I[1/2] u, while _discrete_fixed_point above solves with the smaller
+    # coefficient g * I[1/2].  Under the bound's convention the series for
+    # v = 2 - x is the exact solution 2 E_{1/2}(c sqrt x) - x E_{1/2,2}(c sqrt x)
+    # with c = g * gamma(1/2), and product integration is exact on linear v
+    def ml_half(b, z):  # two-parameter Mittag-Leffler E_{1/2,b}(z)
+        return mp.nsum(lambda k: z**k / mp.gamma(0.5 * k + b), [0, mp.inf])
+
+    with mp.workdps(30):
+        c = gval * mp.gamma(0.5)
+        exact = [
+            float(2 * ml_half(1, c * mp.sqrt(x)) - x * ml_half(2, c * mp.sqrt(x)))
+            for x in dx.tolist()
+        ]
+    np.testing.assert_allclose(bound.values, exact, rtol=1e-13, atol=0.0)
 
 
 def test_gronwall_validation():

@@ -1,8 +1,8 @@
 """Special-function unit tests against frozen reference values.
 
 References were computed once with mpmath at 50 digits and pasted in;
-only the erf accuracy sweep calls mpmath at test time.  The library
-itself never touches mpmath.
+only the gamma, log-gamma and erf accuracy sweeps call mpmath at test
+time.  The library itself never touches mpmath.
 """
 
 import math
@@ -51,15 +51,35 @@ def test_gamma_frozen_values():
 
 
 def test_gamma_integers_exact():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
-    assert gamma_fn(10.0) == pytest.approx(362880.0, rel=1e-13)
+    # (n - 1)! is a double up to n = 23, and math.gamma returns it exactly
+    for n in range(1, 24):
+        assert gamma_fn(float(n)) == float(math.factorial(n - 1))
+
+
+def test_gamma_and_log_gamma_match_mpmath():
+    # 400 points from 1e-300 to 1 and 1601 from 1 to 171.6, next to gamma's
+    # overflow; log-gamma's error is relative where |log gamma| > 1
+    xs = np.concatenate(
+        [np.geomspace(1e-300, 1.0, 400, endpoint=False), np.linspace(1.0, 171.6, 1601)]
+    )
+    with mpmath.workdps(30):
+        for x in xs.tolist():
+            ref = float(mpmath.gamma(x))
+            assert abs(gamma_fn(x) - ref) <= 1.5e-15 * ref
+            ref = float(mpmath.loggamma(x))
+            assert abs(log_gamma(x) - ref) <= 1.5e-15 * max(1.0, abs(ref))
 
 
 def test_gamma_domain():
     for bad in (0.0, -1.0, math.nan, math.inf, 172.0):
         with pytest.raises(DomainError):
             gamma_fn(bad)
+
+
+def test_log_gamma_overflows_far_out():
+    # x * log(x) exceeds the largest double near x = 2.6e305
+    with pytest.raises(DomainError, match=r"log_gamma\(1e\+308\) overflows"):
+        log_gamma(1e308)
 
 
 @given(st.floats(min_value=0.05, max_value=80.0))
@@ -77,7 +97,7 @@ def test_log_gamma_matches_gamma():
 
 
 def test_gamma_many_matches_scalar():
-    # array evaluation maps the scalar Lanczos code, bit for bit
+    # array evaluation maps the scalar gamma_fn, bit for bit
     xs = np.array([0.1, 0.3, 0.5, 1.0, 2.5, 3.0, 150.0, 168.0])
     out = evaluate(parse_expression("gamma(t)"), xs)
     for x, v in zip(xs, out):

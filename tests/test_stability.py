@@ -55,14 +55,14 @@ def test_uh_constant_frozen():
     assert StabilityCertificate.ulam_hyers(p0).c_f == pytest.approx(
         1.1283791670955126 / 0.95, rel=1e-12
     )
-    # the classical first-order case collapses to e
+    # the classical first-order case collapses to exp(k) (E_1 = exp)
     classical = CauchyProblem(
         psi=PsiMap("identity"), order=FracOrder(1.0, 1.0),
         a=0.0, T=1.0, y_a=1.0,
-        rhs=parse_expression("y"), lipschitz=(1.0, 0.0),
+        rhs=parse_expression("0.5*y"), lipschitz=(0.5, 0.0),
     )
     assert StabilityCertificate.ulam_hyers(classical).c_f == pytest.approx(
-        math.e, rel=1e-12
+        math.exp(0.5), rel=1e-12
     )
 
 
