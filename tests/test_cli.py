@@ -200,19 +200,14 @@ def test_specfun_error_paths(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_specfun_gamma_overflows_next_to_the_pole(capsys):
-    # gamma(x) ~ 1/x passes the largest double below about 5.6e-309
-    assert main(["specfun", "gamma", "1e-320"]) == 2
+@pytest.mark.parametrize("x,shown", [("1e-320", "1e-320"), ("172", "172.0")])
+def test_specfun_gamma_overflow_exits_two(capsys, x, shown):
+    # gamma(x) passes the largest double above x = 171.62 and, as about
+    # 1/x, below x = 5.6e-309
+    assert main(["specfun", "gamma", x]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: gamma_fn(1e-320) overflows double precision\n"
-
-
-def test_specfun_gamma_overflows_far_out(capsys):
-    assert main(["specfun", "gamma", "172"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: gamma_fn(172.0) overflows double precision\n"
+    assert captured.err == f"error: gamma_fn({shown}) overflows double precision\n"
 
 
 def test_rhs_gamma_overflow_names_gamma(capsys, tmp_path):
