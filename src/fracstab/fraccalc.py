@@ -26,9 +26,10 @@ right of their last row.
 
 The derivative of order ``(alpha, beta)`` is a diagnostic composition:
 integral of order ``(1-beta)(1-alpha)``, first-order derivative in the
-transformed coordinate by three-point finite differences, then integral of
-order ``beta(1-alpha)``.  It is deliberately simple; the residual helpers
-below quantify how well the inversion identities hold on a given mesh.
+transformed coordinate by ``np.gradient``'s second-order differences, then
+integral of order ``beta(1-alpha)``.  It is deliberately simple; the
+residual helpers below quantify how well the inversion identities hold on
+a given mesh.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class FracIntegralOperator:
     tables are shared between operators and read-only.  Entry ``[i, j]``
     multiplies the stored value at node ``j`` when evaluating the integral
     at node ``i``; row 0 is identically zero, and so is every entry with
-    ``j > i``.  Plain row sums equal
+    ``j > i``.  Applied to ones, the plain table gives
     ``(psi(t_i) - psi(a))**alpha / gamma(alpha + 1)`` up to rounding,
     which is the exactness-on-constants property the tests pin down.
 
@@ -238,22 +239,6 @@ class FracIntegralOperator:
             table = _shared_table(self.mesh, self.alpha, weight_exp)
             self._tables[weight_exp] = table
         return table
-
-    def row_sums(self) -> np.ndarray:
-        """Row sums of the plain table, with the bits of the square's ``.sum(axis=1)``.
-
-        numpy sums a row pairwise over its full length, so each block's rows
-        are zero-padded to ``n + 1`` entries first.
-        """
-        blocks = self._table(0.0)
-        n1 = self.mesh.n + 1
-        out = np.empty(n1)
-        for block in blocks:
-            r1 = block.shape[1]
-            padded = np.zeros((block.shape[0], n1))
-            padded[:, :r1] = block
-            padded.sum(axis=1, out=out[r1 - block.shape[0]:r1])
-        return out
 
     def apply(self, u: GridFunction) -> GridFunction:
         """Integrate ``u``.
@@ -773,37 +758,6 @@ def _beta_cell_moments(
 # ---------------------------------------------------------------------------
 # derivative composition and its residuals
 
-def _dx_transformed(mesh: Mesh, v: np.ndarray) -> np.ndarray:
-    """First derivative with respect to psi(t): three-point stencils."""
-    x = mesh.offsets
-    n = mesh.n
-    if n < 2:
-        raise ContractError("derivative stencils need at least 3 nodes")
-    d = np.empty_like(v)
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    d[1:-1] = (
-        -hp / (hm * (hm + hp)) * v[:-2]
-        + (hp - hm) / (hm * hp) * v[1:-1]
-        + hm / (hp * (hm + hp)) * v[2:]
-    )
-    h1 = x[1] - x[0]
-    h2 = x[2] - x[1]
-    d[0] = (
-        -(2.0 * h1 + h2) / (h1 * (h1 + h2)) * v[0]
-        + (h1 + h2) / (h1 * h2) * v[1]
-        - h1 / (h2 * (h1 + h2)) * v[2]
-    )
-    e1 = x[-1] - x[-2]
-    e2 = x[-2] - x[-3]
-    d[-1] = (
-        (2.0 * e1 + e2) / (e1 * (e1 + e2)) * v[-1]
-        - (e1 + e2) / (e1 * e2) * v[-2]
-        + e1 / (e2 * (e1 + e2)) * v[-3]
-    )
-    return d
-
-
 def hilfer_derivative(u: GridFunction, order: FracOrder) -> GridFunction:
     """Two-sided composition derivative of order ``(alpha, beta)``.
 
@@ -827,7 +781,9 @@ def hilfer_derivative(u: GridFunction, order: FracOrder) -> GridFunction:
         w1 = FracIntegralOperator(mesh, inner).apply(u).values
     else:
         w1 = u.values
-    d = _dx_transformed(mesh, w1)
+    if mesh.n < 2:
+        raise ContractError("derivative stencils need at least 3 nodes")
+    d = np.gradient(w1, mesh.offsets, edge_order=2)
     if outer > 0.0:
         out = FracIntegralOperator(mesh, outer).apply(GridFunction(mesh, d, 0.0))
         return out
@@ -862,28 +818,20 @@ def integrate_derivative_residual(u: GridFunction, order: FracOrder) -> float:
     """Residual of: integral(order) of derivative(order) of ``u`` against
     ``u`` minus its initial-value layer, in the weighted sup norm.
 
-    The initial layer is ``(x - x0)**(gamma-1) / gamma_fn(gamma)`` times the
-    limit at ``a`` of the inner integral of ``u``: zero for continuous
-    plain data with ``gamma < 1``, ``u(a)`` when ``gamma = 1``, and
-    ``gamma_fn(gamma) * stored(a)`` for weighted data.  The residual is
+    ``u`` holds plain samples.  The initial layer is
+    ``(x - x0)**(gamma-1) / gamma_fn(gamma)`` times the limit at ``a`` of
+    the inner integral of ``u``: zero for continuous data with
+    ``gamma < 1`` and ``u(a)`` when ``gamma = 1``.  The residual is
     measured over nodes at least 5 percent of the transformed span away
     from ``a``; next to the endpoint the discrete composition differences
     through the singular layer and has no pointwise limit.
     """
+    if u.weight_exp != 0.0:
+        raise ContractError("integrate_derivative_residual expects plain samples")
     mesh = u.mesh
     hd = hilfer_derivative(u, order)
     lhs = FracIntegralOperator(mesh, order.alpha).apply(hd).values
-    g = order.gamma
-    dx = mesh.offsets
-    if u.weight_exp != 0.0:
-        # both sides carry the weight already
-        res_w = np.zeros_like(lhs)
-        res_w[1:] = (
-            np.power(dx[1:], order.weight) * lhs[1:] - u.values[1:] + u.values[0]
-        )
-        sl = slice(_interior_lo(mesh), None)
-        return float(np.max(np.abs(res_w[sl])))
-    if g == 1.0:
+    if order.gamma == 1.0:
         res = lhs - (u.values - u.values[0])
     else:
         res = lhs - u.values
@@ -919,11 +867,7 @@ def kernel_null_residual(mesh: Mesh, order: FracOrder) -> float:
     and damped again by the outer integral; the suite bounds it by a
     floor well above that noise rather than demanding monotone decrease.
     """
-    g = order.gamma
-    if g == 1.0:
-        u = GridFunction(mesh, np.ones(mesh.n + 1), 0.0)
-    else:
-        u = GridFunction(mesh, np.ones(mesh.n + 1), 1.0 - g)
+    u = GridFunction(mesh, np.ones(mesh.n + 1), 1.0 - order.gamma)
     hd = hilfer_derivative(u, order).values
     return _weighted_residual_max(mesh, hd, order)
 
@@ -1020,7 +964,7 @@ KERNEL_NULL_TOL = 1e-9
 #: with the wording of a failure.  The weighted rule integrates the power
 #: rule's data analytically, hence the rounding-level ceiling there.
 _CEILINGS = {
-    "constant_exactness": (1e-12, "relative row-sum error {:.3e} > 1e-12"),
+    "constant_exactness": (1e-12, "relative error on ones {:.3e} > 1e-12"),
     "power_rule": (1e-12, "scaled error {:.3e} > 1e-12"),
     "kernel_null": (
         KERNEL_NULL_TOL,
@@ -1107,7 +1051,7 @@ def run_operator_checks(
 
             op = FracIntegralOperator(mesh, ga)
             exact_rows = np.power(dx, ga) / gamma_fn(ga + 1.0)
-            rs = op.row_sums()
+            rs = op.apply(GridFunction(mesh, np.ones(n + 1), 0.0)).values
             record(
                 "constant_exactness",
                 float(np.max(np.abs(rs[1:] - exact_rows[1:]) / exact_rows[1:])),

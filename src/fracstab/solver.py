@@ -124,6 +124,7 @@ class UniquenessCertificate:
     certified: bool
     ratio: float  # k * X**alpha / (Gamma(alpha + 1) * (1 - l))
     factor: float  # k * X**alpha / Gamma(alpha + 1) + l
+    base: float  # k * X**alpha / Gamma(alpha + 1)
 
 
 def certify_unique(p: CauchyProblem) -> UniquenessCertificate:
@@ -131,10 +132,10 @@ def certify_unique(p: CauchyProblem) -> UniquenessCertificate:
 
     ``factor`` is the plain Lipschitz bound of one Picard step; ``ratio``
     folds the derivative-slot constant into the denominator and is the
-    quantity the verdict tests: certified iff ``ratio < 1``.  Both are
-    increasing in t, so the supremum over [a, T] is attained at T.  ``not
-    certified`` never asserts nonexistence; it only means this bound does
-    not close.
+    quantity the verdict tests: certified iff ``ratio < 1``.  ``base`` is
+    the kernel term both are formed from.  Both are increasing in t, so
+    the supremum over [a, T] is attained at T.  ``not certified`` never
+    asserts nonexistence; it only means this bound does not close.
     """
     if p.lipschitz is None:
         raise ContractError("no Lipschitz constants: declare them on the problem")
@@ -143,7 +144,7 @@ def certify_unique(p: CauchyProblem) -> UniquenessCertificate:
     base = k * span ** p.order.alpha / gamma_fn(p.order.alpha + 1.0)
     ratio = base / (1.0 - l)
     return UniquenessCertificate(
-        certified=bool(ratio < 1.0), ratio=ratio, factor=base + l
+        certified=bool(ratio < 1.0), ratio=ratio, factor=base + l, base=base
     )
 
 

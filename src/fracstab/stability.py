@@ -34,7 +34,7 @@ from .errors import (
 from .fraccalc import FracIntegralOperator
 from .psi_space import GridFunction, Mesh, build_mesh
 from .rhs_expr import Expr, evaluate, free_variables, to_source
-from .solver import CauchyProblem, Solution, certify_unique, picard_solve
+from .solver import CauchyProblem, Solution, UniquenessCertificate, certify_unique, picard_solve
 from .specfun import gamma_fn, mittag_leffler
 
 __all__ = [
@@ -74,7 +74,7 @@ class StabilityCertificate:
         (k*|dy| + eps)/(1-l), hence the 1/(1-l) in front of the
         psi-Gronwall closed form.  Requires the contraction ratio < 1.
         """
-        _certified_ratio(p)
+        _certified(p)
         k, l = p.lipschitz
         alpha = p.order.alpha
         span = p.psi.value(p.T) - p.psi.value(p.a)
@@ -89,24 +89,27 @@ class StabilityCertificate:
 
         ``ratio`` is the contraction ratio of :func:`certify_unique`, and the
         1/(1-l) carries the residual through the derivative slot, as in
-        :meth:`ulam_hyers`.
+        :meth:`ulam_hyers`.  With ``ratio = base / (1-l)`` the denominator
+        is evaluated as ``(1-l) - base``, two roundings fewer than the
+        product (``base`` is :func:`certify_unique`'s ``k * span**alpha /
+        Gamma(alpha+1)``).
         """
         if not (math.isfinite(lambda_phi) and lambda_phi > 0.0):
             raise DomainError(
                 f"comparison coefficient must be positive, got {lambda_phi!r}"
             )
-        ratio = _certified_ratio(p)
+        base = _certified(p).base
         _, l = p.lipschitz
-        return cls(c_f=lambda_phi / ((1.0 - l) * (1.0 - ratio)), phi=phi)
+        return cls(c_f=lambda_phi / ((1.0 - l) - base), phi=phi)
 
 
-def _certified_ratio(p: CauchyProblem) -> float:
+def _certified(p: CauchyProblem) -> UniquenessCertificate:
     cert = certify_unique(p)
     if not cert.certified:
         raise CertificationError(
             "combined contraction ratio is not below 1", cert.ratio
         )
-    return cert.ratio
+    return cert
 
 
 def _phi_values(phi: Expr, mesh: Mesh) -> np.ndarray:

@@ -48,7 +48,7 @@ def test_row_sums_exact_on_constants(psi, a, T, alpha):
     op = FracIntegralOperator(mesh, alpha)
     dx = mesh.psi_nodes - mesh.psi_nodes[0]
     exact = dx ** alpha / gamma_fn(alpha + 1.0)
-    rs = op.row_sums()
+    rs = op.apply(GridFunction(mesh, np.ones(65), 0.0)).values
     rel = np.abs(rs[1:] - exact[1:]) / exact[1:]
     assert float(np.max(rel)) <= 1e-12
 
@@ -63,7 +63,7 @@ def test_row_sums_exact_on_shifted_interval(psi, a, T):
     mesh = build_mesh(psi, a, T, n, grading)
     span = psi.value(T) - psi.value(a)
     exact = (span * (np.arange(1, n + 1) / n) ** grading) ** alpha / gamma_fn(alpha + 1.0)
-    rs = FracIntegralOperator(mesh, alpha).row_sums()
+    rs = FracIntegralOperator(mesh, alpha).apply(GridFunction(mesh, np.ones(n + 1), 0.0)).values
     assert float(np.max(np.abs(rs[1:] - exact) / exact)) <= 1e-12
 
 
@@ -549,6 +549,28 @@ def test_composition_residuals_shrink():
         )
     assert res[256][0] < res[64][0] / 1.5
     assert res[256][1] < res[64][1] / 1.5
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_composition_at_the_end_orders(beta):
+    # beta = 0 leaves no outer integral, and gamma = 1 (beta = 1) keeps
+    # u(a) as the initial layer; verify-ops runs neither
+    order = FracOrder(0.5, beta)
+    ns = (64, 128, 256, 512)
+    res = {"cos": ([], []), "quadratic": ([], [])}
+    for n in ns:
+        mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, default_grading(order))
+        x = mesh.offsets
+        for tag, values in (("cos", np.cos(mesh.nodes)), ("quadratic", x * x)):
+            u = GridFunction(mesh, values, 0.0)
+            res[tag][0].append(integrate_derivative_residual(u, order))
+            res[tag][1].append(differentiate_integral_residual(u, order))
+        assert kernel_null_residual(mesh, order) <= 1e-12
+    for pair in res.values():
+        for residuals in pair:
+            assert fraccalc._fit_slope(ns, residuals) >= 0.8
+    with pytest.raises(ContractError, match="expects plain samples"):
+        integrate_derivative_residual(GridFunction(mesh, np.ones(mesh.n + 1), 0.5), order)
 
 
 @pytest.mark.parametrize("psi,a,T", PSI_CASES)

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,22 @@ def test_uhr_constant_frozen():
     assert cert.c_f == pytest.approx(C_F_UHR_EX5, rel=1e-12)
     with pytest.raises(DomainError):
         StabilityCertificate.ulam_hyers_rassias(pf.problem, pf.phi, 0.0)
+
+
+@pytest.mark.parametrize("index", [5, 6, 7])
+def test_uhr_constant_within_a_quarter_ulp(index):
+    # against the same double inputs in 200-bit arithmetic; the product
+    # (1 - l) * (1 - ratio) erred by 0.92 to 1.12 ulp on these examples
+    pf = load_example(index)
+    p = pf.problem
+    c_f = StabilityCertificate.ulam_hyers_rassias(p, pf.phi, pf.lambda_phi).c_f
+    k, l = p.lipschitz
+    span = p.psi.value(p.T) - p.psi.value(p.a)
+    with mpmath.workprec(200):
+        alpha = mpmath.mpf(p.order.alpha)
+        base = k * mpmath.mpf(span) ** alpha / mpmath.gamma(alpha + 1)
+        exact = pf.lambda_phi / ((1 - mpmath.mpf(l)) - base)
+        assert abs(c_f - exact) <= 0.25 * math.ulp(c_f)
 
 
 def test_estimate_lambda_phi_frozen():
