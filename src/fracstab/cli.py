@@ -85,6 +85,26 @@ def _string(value, key: str) -> str:
     return value
 
 
+def _object(value, key: str, keys) -> dict:
+    """``value`` as an object holding only ``keys``; nested members go by ``key.name``."""
+    if not isinstance(value, dict):
+        what = "a JSON object" if key == "document" else "an object"
+        raise SchemaError(key, f"expected {what}")
+    prefix = "" if key == "document" else f"{key}."
+    for name in value:
+        if name not in keys:
+            raise SchemaError(prefix + name, "unknown key")
+    return value
+
+
+def _expression(data: dict, key: str, parameters: dict[str, float]) -> Expr:
+    """The expression text under ``key``, parsed; a parse error names the key."""
+    try:
+        return parse_expression(_string(data[key], key), parameters)
+    except ParseError as err:
+        raise SchemaError(key, f"{err.reason} (offset {err.offset})") from err
+
+
 def _build(cls, *args, **kwargs):
     """Construct a library object; its keyed domain errors name the field."""
     try:
@@ -95,21 +115,12 @@ def _build(cls, *args, **kwargs):
 
 def problem_from_dict(data) -> ProblemFile:
     """Validate a decoded problem document and build the problem."""
-    if not isinstance(data, dict):
-        raise SchemaError("document", "expected a JSON object")
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise SchemaError(key, "unknown key")
+    _object(data, "document", _TOP_KEYS)
     for key in _REQUIRED_KEYS:
         if key not in data:
             raise SchemaError(key, "missing required key")
 
-    raw_psi = data["psi"]
-    if not isinstance(raw_psi, dict):
-        raise SchemaError("psi", "expected an object")
-    for key in raw_psi:
-        if key not in ("kind", "rho"):
-            raise SchemaError(f"psi.{key}", "unknown key")
+    raw_psi = _object(data["psi"], "psi", ("kind", "rho"))
     rho = _number(raw_psi["rho"], "psi.rho") if "rho" in raw_psi else 1.0
     psi = _build(PsiMap, raw_psi.get("kind"), rho)
     alpha = _number(data["alpha"], "alpha")
@@ -130,19 +141,11 @@ def problem_from_dict(data) -> ProblemFile:
             raise SchemaError(f"parameters.{name}", "shadows a reserved name")
         parameters[name] = _number(value, f"parameters.{name}")
 
-    try:
-        rhs = parse_expression(_string(data["rhs"], "rhs"), parameters)
-    except ParseError as err:
-        raise SchemaError("rhs", f"{err.reason} (offset {err.offset})") from err
+    rhs = _expression(data, "rhs", parameters)
 
     lipschitz = None
     if "lipschitz" in data:
-        raw_lip = data["lipschitz"]
-        if not isinstance(raw_lip, dict):
-            raise SchemaError("lipschitz", "expected an object")
-        for key in raw_lip:
-            if key not in ("k", "l"):
-                raise SchemaError(f"lipschitz.{key}", "unknown key")
+        raw_lip = _object(data["lipschitz"], "lipschitz", ("k", "l"))
         if "k" not in raw_lip or "l" not in raw_lip:
             # half a pair would silently assert the other slope is zero
             raise SchemaError("lipschitz", "k and l must be given together")
@@ -152,12 +155,8 @@ def problem_from_dict(data) -> ProblemFile:
 
     phi = None
     if "phi" in data:
-        try:
-            phi = parse_expression(_string(data["phi"], "phi"), parameters)
-        except ParseError as err:
-            raise SchemaError("phi", f"{err.reason} (offset {err.offset})") from err
-        extra = free_variables(phi) - {"t"}
-        if extra:
+        phi = _expression(data, "phi", parameters)
+        if free_variables(phi) - {"t"}:
             raise SchemaError("phi", "may only depend on t")
 
     lambda_phi = None
@@ -223,7 +222,7 @@ def _usable_lipschitz(p: CauchyProblem) -> tuple[CauchyProblem, str | None]:
         return p, "declared"
     try:
         k, l = estimate_lipschitz(p)
-    except (EstimationError, NonConvergenceError, DomainError) as err:
+    except (EstimationError, DomainError) as err:
         _note(f"note: Lipschitz estimation failed: {err}")
         return p, None
     if not l < 1.0:
@@ -385,19 +384,9 @@ def cmd_perturb(args) -> int:
     return 0 if report.passed else 5
 
 
-_PSI_ALIASES = {
-    "identity": "identity",
-    "log": "logarithm",
-    "logarithm": "logarithm",
-    "power": "power",
-}
-
-
 def cmd_verify_ops(args) -> int:
-    if args.psi is None:
-        families = PSI_KINDS
-    else:
-        families = (_PSI_ALIASES[args.psi],)
+    psi = "logarithm" if args.psi == "log" else args.psi
+    families = PSI_KINDS if psi is None else (psi,)
     try:
         n_list = tuple(int(part) for part in args.n_list.split(",") if part)
     except ValueError:
@@ -485,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ops = sub.add_parser("verify-ops", help="run the operator oracle suite")
     p_ops.add_argument("--n-list", default="64,128,256,512")
-    p_ops.add_argument("--psi", choices=tuple(_PSI_ALIASES), default=None)
+    p_ops.add_argument("--psi", choices=sorted((*PSI_KINDS, "log")), default=None)
     p_ops.add_argument("--report", default=None)
     p_ops.set_defaults(func=cmd_verify_ops)
     return parser

@@ -58,31 +58,26 @@ class PsiMap:
                 f"power map requires rho > 0, got {self.rho!r}", key="psi.rho"
             )
 
-    def value(self, t):
-        """psi(t); accepts scalars or arrays."""
+    def value(self, t: float) -> float:
+        """psi(t) at one point, such as an end of the interval."""
+        t = float(t)
         if self.kind == "identity":
-            return np.asarray(t, dtype=float) + 0.0 if isinstance(t, np.ndarray) else float(t)
+            return t
         if self.kind == "logarithm":
-            arr = np.asarray(t, dtype=float)
-            if np.any(arr <= 0.0):
+            if t <= 0.0:
                 raise DomainError("logarithm map requires t > 0")
-            out = np.log(arr)
-            return out if isinstance(t, np.ndarray) else float(out)
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0.0):
+            return float(np.log(t))
+        if t < 0.0:
             raise DomainError("power map requires t >= 0")
-        out = np.power(arr, self.rho)
-        return out if isinstance(t, np.ndarray) else float(out)
+        return float(np.power(t, self.rho))
 
-    def inverse(self, x):
-        """Inverse map, x -> t."""
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        """Inverse map x -> t over an array, such as a mesh's interior nodes."""
         if self.kind == "identity":
             return x
         if self.kind == "logarithm":
-            return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
-        if isinstance(x, np.ndarray):
-            return np.power(x, 1.0 / self.rho)
-        return math.pow(x, 1.0 / self.rho)
+            return np.exp(x)
+        return np.power(x, 1.0 / self.rho)
 
 
 @dataclass(frozen=True)

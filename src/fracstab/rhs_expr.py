@@ -13,7 +13,7 @@ Named parameters are inlined as numeric literals while parsing, so an
 ``Expr`` is self-contained: evaluation needs no environment beyond the
 three variables.  Trees are frozen dataclasses; parsing and evaluation
 are pure.  ``to_source`` renders the canonical fully parenthesised form,
-which re-parses to the same tree.
+which re-parses to the same string and value, if not always the same tree.
 """
 
 from __future__ import annotations
@@ -304,11 +304,9 @@ def parse_expression(
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _t_at(env: dict, index) -> float | None:
+def _t_at(env: dict, index) -> float:
     """The abscissa of entry ``index`` of the evaluated arrays."""
-    t = env.get("t")
-    if t is None:
-        return None
+    t = env["t"]
     return float(np.ravel(t)[index]) if np.ndim(t) else float(t)
 
 
@@ -317,7 +315,7 @@ def _refuse(bad, reason: str, env: dict) -> None:
         raise EvaluationError(reason, _t_at(env, np.argmax(bad)))
 
 
-def _first_failing_t(rule: _Rule, args: list, env: dict, kind: type) -> float | None:
+def _first_failing_t(rule: _Rule, args: list, env: dict, kind: type) -> float:
     """Where the shortest prefix of the last argument ends that ``rule``
     refuses with a ``kind`` error: the first node at which it appears."""
     head, last = args[:-1], np.ravel(args[-1])
@@ -388,28 +386,24 @@ def evaluate(expr: Expr, t, y=0.0, d=0.0):
 # ---------------------------------------------------------------------------
 # canonical form and queries
 
-def _render(node: Expr) -> str:
-    if isinstance(node, Num):
-        if node.value < 0.0 or math.copysign(1.0, node.value) < 0.0:
-            return f"(-{float(-node.value)!r})"
-        return repr(float(node.value))
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_render(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({_render(node.left)} {node.op} {_render(node.right)})"
-    inner = ", ".join(_render(a) for a in node.args)
-    return f"{node.func}({inner})"
-
-
 def to_source(expr: Expr) -> str:
     """Render the canonical fully parenthesised form.
 
-    The canonical form is a fixed point: parsing it and rendering again
-    reproduces the same string (and the same tree).
+    Parsing it and rendering again gives the same string and value, but not
+    always the same tree: an inlined negative parameter renders as
+    ``(-2.0)``, which parses back as the negation of ``2.0``.
     """
-    return _render(expr)
+    if isinstance(expr, Num):
+        if expr.value < 0.0 or math.copysign(1.0, expr.value) < 0.0:
+            return f"(-{float(-expr.value)!r})"
+        return repr(float(expr.value))
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Neg):
+        return f"(-{to_source(expr.operand)})"
+    if isinstance(expr, BinOp):
+        return f"({to_source(expr.left)} {expr.op} {to_source(expr.right)})"
+    return f"{expr.func}({', '.join(to_source(a) for a in expr.args)})"
 
 
 def free_variables(expr: Expr) -> frozenset[str]:

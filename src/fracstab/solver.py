@@ -256,20 +256,14 @@ def _reconstruct_y(
 ) -> np.ndarray:
     """Stored values of y = prefactor + I^alpha g, in the problem's weighting.
 
-    The integral of weighted g comes back either plain (then scaled by
-    dx**(1-gamma)) or weighted with the deeper exponent (then scaled by
-    dx**alpha); either way the stored value at t = a is the prefactor
+    The integral of weighted g comes back plain, or weighted with a deeper
+    exponent when alpha + gamma < 1; scaling by dx**(w - its exponent)
+    brings it to weight w.  The stored value at t = a is the prefactor
     limit y_a / Gamma(gamma).
     """
     integral = op.apply(GridFunction(mesh, g_hat, w))
-    if integral.weight_exp == 0.0:
-        scale = np.power(mesh.offsets, w)
-    else:
-        scale = np.power(mesh.offsets, op.alpha)
-        scale[0] = 0.0
-    out = pref + scale * integral.values
-    if w > 0.0:
-        out[0] = pref
+    out = pref + np.power(mesh.offsets, w - integral.weight_exp) * integral.values
+    out[0] = pref
     return out
 
 

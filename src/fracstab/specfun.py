@@ -96,9 +96,9 @@ _CANCELLATION_LIMIT = 1e-8
 def mittag_leffler_many(mu: float, z: np.ndarray) -> np.ndarray:
     """One-parameter Mittag-Leffler ``sum_k z**k / gamma(mu*k + 1)``, elementwise.
 
-    Terms are accumulated with Kahan compensation.  Truncation happens once
-    every element's next-term magnitude has stayed below 1e-14 times its
-    running partial sum for two consecutive terms.
+    Terms are accumulated with Kahan compensation.  Truncation happens at
+    the first k where, at k and at k - 1 alike, every element's term
+    magnitude is below 1e-14 times its partial sum before that term.
 
     Raises
     ------
@@ -127,7 +127,7 @@ def mittag_leffler_many(mu: float, z: np.ndarray) -> np.ndarray:
     zpow = np.ones_like(z)
     power_bound = 1.0  # max|z| ** k
     log_az = None
-    streak = np.zeros(z.shape, dtype=int)
+    small = False  # every term was small at the last k
     for k in range(1, _ML_MAX_TERMS + 1):
         arg = mu * k + 1.0
         power_bound *= z_max
@@ -146,12 +146,12 @@ def mittag_leffler_many(mu: float, z: np.ndarray) -> np.ndarray:
             )
         size = np.abs(term)
         mass += size
-        streak = np.where(size <= _ML_REL_TOL * np.abs(total), streak + 1, 0)
+        was_small, small = small, bool(np.all(size <= _ML_REL_TOL * np.abs(total)))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if np.all(streak >= 2):
+        if small and was_small:
             if not np.all(np.isfinite(total)):
                 raise ConvergenceError(
                     f"mittag_leffler overflowed double precision (max |z| = {z_max!r})"

@@ -13,8 +13,8 @@ perturbations, solves the forced problem, and checks the certified bound
 nodewise.  Violations are retried at doubled resolution first, so "mesh
 too coarse" and "bound broken" stay distinguishable.  Each of the two
 meshes is one level: the mesh, its operator, the unperturbed solve and
-the envelope, built whole or not at all.  A trial whose solve fails, on
-either mesh, is an error row and never aborts the run.
+the envelope, built whole or not at all.  A trial that fails on either
+mesh, or cannot build the doubled one, is an error row, not an abort.
 """
 
 from __future__ import annotations
@@ -266,6 +266,8 @@ def _draw_perturbation(
 
 #: Relative slack over the certified ceiling that a trial's ratio may take.
 _ALLOWANCE = 0.05
+#: What makes a trial an error row instead of ending the run.
+_TRIAL_ERRORS = (NonConvergenceError, EvaluationError, DomainError)
 
 
 @dataclass(frozen=True)
@@ -299,8 +301,9 @@ def perturb_and_check(
     resolution before being declared a failure, with the same forcing:
     deterministic shapes are drawn again there, and the random draw is
     interpolated in the transformed coordinate and clipped back into the
-    envelope.  Trials whose solve breaks down, on either mesh, are marked
-    "error" and fail the report.
+    envelope.  A trial whose solve breaks down on either mesh, or whose
+    doubled level (tried once per call) cannot be built, is marked "error"
+    and fails the report.
     """
     weighted = cert.phi is not None
 
@@ -326,7 +329,7 @@ def perturb_and_check(
         return float(np.max(dev)), float(ceiling[at]), float(ratios[at])
 
     coarse = build_level(mesh, operator)
-    fine: _Level | None = None
+    fine: _Level | Exception | None = None  # the doubled level, or why it failed
     rows: list[TrialResult] = []
     for trial in range(spec.trials):
         seq = np.random.SeedSequence(spec.seed, spawn_key=(trial,))
@@ -337,9 +340,12 @@ def perturb_and_check(
             if ratio > 1.0 + _ALLOWANCE:
                 refined = True
                 if fine is None:
-                    fine = build_level(
-                        build_mesh(p.psi, p.a, p.T, 2 * mesh.n, mesh.grading)
-                    )
+                    try:
+                        fine = build_level(build_mesh(p.psi, p.a, p.T, 2 * mesh.n, mesh.grading))
+                    except _TRIAL_ERRORS as err:
+                        fine = err
+                if isinstance(fine, Exception):
+                    raise fine
                 if spec.shape == "random_bounded":
                     pert = np.clip(
                         np.interp(fine.mesh.offsets, mesh.offsets, pert),
@@ -349,7 +355,7 @@ def perturb_and_check(
                     pert = _draw_perturbation(spec, seq, fine.envelope, weighted)
                 deviation, bound, ratio = measure(fine, pert)
             verdict = "pass" if ratio <= 1.0 + _ALLOWANCE else "fail"
-        except (NonConvergenceError, EvaluationError):
+        except _TRIAL_ERRORS:
             deviation = bound = ratio = math.nan
             verdict = "error"
         rows.append(

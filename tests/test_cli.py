@@ -1,6 +1,7 @@
 """Problem-file loading, subcommand behavior, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+from fracstab import fraccalc
 from fracstab.cli import (
     _num15, _usable_lipschitz, load_problem, main, problem_from_dict,
 )
@@ -88,6 +90,34 @@ def test_document_must_be_valid_json(tmp_path):
     with pytest.raises(SchemaError) as info:
         load_problem(str(path))
     assert info.value.key == "document"
+
+
+@pytest.mark.parametrize(
+    "doc,key,reason",
+    [
+        (["not", "an", "object"], "document", "expected a JSON object"),
+        (mutate(volume=1.0), "volume", "unknown key"),
+        (mutate(psi=[1, 2]), "psi", "expected an object"),
+        (mutate(psi={"kind": "identity", "frequency": 2.0}), "psi.frequency", "unknown key"),
+        (mutate(parameters=[1.0]), "parameters", "expected an object"),
+        (mutate(lipschitz=[0.1, 0.0]), "lipschitz", "expected an object"),
+        (mutate(lipschitz={"k": 0.1, "l": 0.1, "m": 0.1}), "lipschitz.m", "unknown key"),
+        (mutate(rhs="0.5*"), "rhs", "expected a number, name, or '(' (offset 4)"),
+        (mutate(phi="sqrt(t"), "phi", "expected ')' to close the argument list (offset 6)"),
+    ],
+)
+def test_schema_rejections_give_the_reason(doc, key, reason):
+    with pytest.raises(SchemaError) as info:
+        problem_from_dict(doc)
+    assert str(info.value) == f"key '{key}': {reason}"
+
+
+def test_json_nan_is_not_a_number(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(BASE_DOC).replace('"alpha": 0.5', '"alpha": NaN'))
+    with pytest.raises(SchemaError) as info:
+        load_problem(str(path))
+    assert str(info.value) == "key 'alpha': must be finite"
 
 
 def test_all_bundled_problems_load():
@@ -243,6 +273,18 @@ def test_solve_csv_shape(capsys, tmp_path):
     assert float(first[4]) == pytest.approx(0.5641895835477563, rel=1e-12)
     last = lines[-1].split(",")
     assert last[-1] == "0"
+
+
+def test_solve_on_a_single_interval(capsys, tmp_path):
+    # n = 1 leaves the weighted lift one node to extrapolate from
+    out = tmp_path / "one.csv"
+    assert main([
+        "solve", str(PROBLEMS / "example1.json"), "--n", "1", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row[:5])
 
 
 def test_solve_regular_problem_has_no_flags(capsys, tmp_path):
@@ -603,6 +645,19 @@ def test_perturb_failed_refinement_exits_five(capsys, tmp_path):
     assert [row.rsplit(",", 1)[1] for row in rows] == ["error", "error"]
 
 
+def test_perturb_unbuildable_doubled_mesh_gives_error_rows(capsys, tmp_path):
+    # alpha = 0.01 grades the mesh with 200: n = 32 is fine, but the doubled
+    # n = 64 has zero-width first cells, so each refinement is an error row
+    doc = mutate(alpha=0.01, lipschitz={"k": 0.001, "l": 0.0})
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    assert main([
+        "perturb", str(path), "--n", "32", "--trials", "2", "--shape", "constant",
+    ]) == 5
+    rows = capsys.readouterr().out.split("\n")[1:3]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["error", "error"]
+
+
 def test_perturb_not_certified_exits_four(capsys, tmp_path):
     hot = tmp_path / "hot.json"
     hot.write_text(json.dumps(mutate(lipschitz={"k": 5.0, "l": 0.1})))
@@ -625,6 +680,16 @@ def test_verify_ops_command(capsys, tmp_path):
     assert text.startswith("family,check,n,residual\n")
     assert "family,check,slope" in text
     assert "logarithm" in text
+
+
+def test_verify_ops_reports_a_failed_ceiling(capsys, monkeypatch):
+    monkeypatch.setitem(
+        fraccalc._CEILINGS, "constant_exactness", (0.0, "relative error on ones {:.3e} > 0")
+    )
+    assert main(["verify-ops", "--n-list", "16", "--psi", "identity"]) == 5
+    assert "FAIL: identity/constant_exactness: relative error on ones" in (
+        capsys.readouterr().out
+    )
 
 
 def test_verify_ops_bad_inputs(capsys):

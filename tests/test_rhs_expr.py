@@ -164,6 +164,28 @@ def test_free_variables():
     assert free_variables(parse_expression("cos(t) + cos(t)")) == {"t"}
 
 
+def test_free_variables_under_unary_minus():
+    assert free_variables(parse_expression("-y")) == {"y"}
+    assert free_variables(parse_expression("t - -d")) == {"t", "d"}
+
+
+def test_bad_index_for_e_is_a_parse_error():
+    with pytest.raises(ParseError, match="bad index for E"):
+        parse_expression("E(1/0, t)")
+
+
+def test_to_source_keeps_string_and_value_of_negative_parameters():
+    # an inlined negative number renders as (-2.0), which re-parses to
+    # Neg(Num(2.0)): the same string and value, not the same tree
+    expr = parse_expression("c*t", {"c": -2.0})
+    src = to_source(expr)
+    assert src == "((-2.0) * t)"
+    again = parse_expression(src)
+    assert to_source(again) == src
+    assert again != expr
+    assert evaluate(again, t=1.5) == evaluate(expr, t=1.5) == -3.0
+
+
 def test_to_source_round_trip_fixed():
     for src, _ in PRECEDENCE_CASES:
         expr = parse_expression(src)

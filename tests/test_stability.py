@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracstab import stability
 from fracstab.errors import (
     CertificationError,
     ContractError,
@@ -123,6 +124,14 @@ def test_phi_validation():
         estimate_lambda_phi(pf.problem, parse_expression("2 - t"), mesh)
     with pytest.raises(ContractError):
         estimate_lambda_phi(pf.problem, parse_expression("y + 1"), mesh)
+
+
+def test_decreasing_phi_is_refused():
+    # positive on example 5's [1, e], but decreasing
+    pf = load_example(5)
+    mesh = _mesh_for(pf.problem, 32)
+    with pytest.raises(DomainError, match="must be nondecreasing"):
+        estimate_lambda_phi(pf.problem, parse_expression("3 - t"), mesh)
 
 
 def test_certificates_and_bounds():
@@ -298,6 +307,26 @@ def test_failed_refinement_gives_error_rows():
     report = perturb_and_check(p, weak, spec, mesh)
     assert [r.verdict for r in report.rows] == ["error", "error"]
     assert not report.passed
+
+
+def test_unbuildable_doubled_level_is_tried_once(monkeypatch):
+    # alpha = 0.01 grades with 200: n = 32 builds, the doubled n = 64 has
+    # zero-width cells; every trial refines, and each is an error row
+    built = []
+
+    def counting_build_mesh(*args):
+        built.append(args[3])
+        return build_mesh(*args)
+
+    monkeypatch.setattr(stability, "build_mesh", counting_build_mesh)
+    p = CauchyProblem(
+        psi=PsiMap("identity"), order=FracOrder(0.01, 1.0), a=0.0, T=1.0,
+        y_a=1.0, rhs=parse_expression("0.5*y"), lipschitz=(0.001, 0.0),
+    )
+    spec = PerturbationSpec(epsilon=1e-2, shape="constant", trials=3)
+    report = perturb_and_check(p, StabilityCertificate.ulam_hyers(p), spec, _mesh_for(p, 32))
+    assert [(r.verdict, r.refined) for r in report.rows] == [("error", True)] * 3
+    assert built == [64]
 
 
 def test_trial_error_rows():

@@ -1,7 +1,9 @@
-"""The comparison script behind `make outputs-diff`, and the table
-benchmark's child environment."""
+"""The comparison script behind `make outputs-diff`, the table
+benchmark's child environment, and the line tracer."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 
@@ -77,3 +79,53 @@ def test_bench_tables_children_read_cached_bytecode(monkeypatch, tmp_path):
     assert "PYTHONDONTWRITEBYTECODE" not in env
     assert env["PYTHONPATH"] == str(ROOT / "src")
     assert env["XDG_CACHE_HOME"] == str(tmp_path)
+
+
+
+def _line_trace(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "line_trace.py"), *args],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+    )
+
+
+def _line(module: str, statement: str) -> int:
+    """The number of the line of ``module`` that holds just ``statement``."""
+    lines = (ROOT / "src" / "fracstab" / module).read_text().splitlines()
+    return next(k for k, line in enumerate(lines, 1) if line.strip() == statement)
+
+
+def _numbers(ranges: str) -> set[int]:
+    out = set()
+    for part in ranges.split(", "):
+        lo, _, hi = part.partition("-")
+        out.update(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def test_line_trace_merges_runs_and_reports_the_rest(tmp_path):
+    hits = tmp_path / "hits.json"
+    gamma = _line("specfun.py", "return math.gamma(x)")
+    series = _line("specfun.py", "return float(mittag_leffler_many(mu, np.asarray(float(z))))")
+    opened = _line("cli.py", 'with open(path, "r", encoding="utf-8") as handle:')
+
+    proc = _line_trace("run", str(hits), "--", "specfun", "gamma", "0.5")
+    # the CLI's own output and exit code, nothing added
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.77245385091\n", "")
+    first = json.loads(hits.read_text())
+    assert gamma in first["specfun.py"] and series not in first["specfun.py"]
+    assert opened not in first["cli.py"]
+
+    proc = _line_trace("run", str(hits), "--", "certify", str(tmp_path / "missing.json"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    merged = json.loads(hits.read_text())
+    assert set(first["specfun.py"]) <= set(merged["specfun.py"])
+    assert opened in merged["cli.py"]
+
+    proc = _line_trace("report", str(hits))
+    assert proc.returncode == 0
+    report = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    assert set(report) == {p.name for p in (ROOT / "src" / "fracstab").glob("*.py")}
+    never = _numbers(report["specfun.py"].split(" never ran: ")[1])
+    assert series in never and gamma not in never
