@@ -20,9 +20,9 @@ a large table need 3 or 4.  The few cells next to ``x0`` and before the
 evaluation node take them as incomplete beta integrals, evaluated by a
 continued fraction.  Both kinds of table are built in pieces of about
 256 KiB: rows of the plain table, tiles along the diagonal or down the
-columns of the weighted one.  A table is lower triangular, so once built
-it is held, stored and applied as blocks of rows that leave out the zeros
-right of their last row.
+columns of the weighted one.  A table is lower triangular, so it is
+built, held, stored and applied as blocks of rows that leave out the
+zeros right of their last row, packed back to back in one buffer.
 
 The derivative of order ``(alpha, beta)`` is a diagnostic composition:
 integral of order ``(1-beta)(1-alpha)``, first-order derivative in the
@@ -135,7 +135,7 @@ def _lower_beta_many(p: float, q: float, theta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the integral operator
 
-#: Temporaries of a table build cover about this many bytes: one block of
+#: Temporaries of a table build cover about this many bytes: one group of
 #: rows of the plain table, one tile of the weighted table.
 _BLOCK_BYTES = 256 << 10
 
@@ -198,9 +198,9 @@ _GL_RULES = (
     ])),
 )
 
-#: Tables and the bytes each holds, least recently used first, keyed by
-#: everything a table depends on: ``(mesh offsets, alpha, input weight
-#: exponent)``.  A hit therefore returns the very bits a fresh build would.
+#: Tables and the bytes of their packed buffers, least recently used first,
+#: keyed by everything a table depends on: ``(mesh offsets, alpha, input
+#: weight exponent)``.  A hit therefore returns the very bits a fresh build would.
 _cache: OrderedDict[tuple[bytes, float, float], tuple[_Table, int]] = OrderedDict()
 
 
@@ -218,11 +218,10 @@ class FracIntegralOperator:
 
     A table is a tuple of read-only row blocks (``_block_bounds``): block
     ``k`` holds rows ``[r0, r1)`` and columns ``[0, r1)``, about half of
-    the ``(n+1)**2`` square (17.3 MB instead of 33.6 MB at n = 2048).  A
-    mapped table holds only its blocks; a table built in this process holds
-    views of the square its build filled.  Builds fill the whole square, so
-    ``build_mesh`` refuses meshes whose square would exceed 1 GiB
-    (n > 11584).
+    the ``(n+1)**2`` square (17.3 MB instead of 33.6 MB at n = 2048).  The
+    blocks view one packed buffer, built or mapped from the store.  A
+    weighted build fills the square first, so ``build_mesh`` refuses
+    meshes whose square would exceed 1 GiB (n > 11584).
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
@@ -331,6 +330,21 @@ def _block_bounds(n: int) -> list[tuple[int, int]]:
     return [(r0, min(r0 + _BLOCK_ROWS, n + 1)) for r0 in range(0, n + 1, _BLOCK_ROWS)]
 
 
+def _packed_size(n: int) -> int:
+    """Doubles in the blocks of an ``(n+1)``-row table, held back to back."""
+    return sum((r1 - r0) * r1 for r0, r1 in _block_bounds(n))
+
+
+def _blocks(packed: np.ndarray, n: int) -> _Table:
+    """The row blocks of an ``(n+1)``-row table, as views of its packed buffer."""
+    blocks, start = [], 0
+    for r0, r1 in _block_bounds(n):
+        stop = start + (r1 - r0) * r1
+        blocks.append(packed[start:stop].reshape(r1 - r0, r1))
+        start = stop
+    return tuple(blocks)
+
+
 def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
     """The read-only table from ``_cache``; on a miss it is mapped from the
     on-disk store, or built and then stored.
@@ -343,20 +357,17 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
         _cache.move_to_end(key)
         return hit[0]
     use_store = 8 * (mesh.n + 1) ** 2 >= _STORE_MIN_BYTES
-    table = _load_table(key, mesh.n) if use_store else None
-    if table is None:
+    packed = _load_table(key, mesh.n) if use_store else None
+    if packed is None:
         if weight_exp == 0.0:
-            square = _build_plain_table(mesh, alpha)
+            packed = _build_plain_table(mesh, alpha)
         else:
-            square = _build_weighted_table(mesh, alpha, 1.0 - weight_exp)
-        square.setflags(write=False)
-        table = tuple(square[r0:r1, :r1] for r0, r1 in _block_bounds(mesh.n))
-        nbytes = square.nbytes
+            packed = _build_weighted_table(mesh, alpha, 1.0 - weight_exp)
+        packed.setflags(write=False)
         if use_store:
-            _save_table(key, table)
-    else:
-        nbytes = sum(block.nbytes for block in table)
-    _cache[key] = table, nbytes
+            _save_table(key, mesh.n, packed)
+    table = _blocks(packed, mesh.n)
+    _cache[key] = table, packed.nbytes
     held = sum(nbytes for _, nbytes in _cache.values())
     while held > _CACHE_BYTES and len(_cache) > 1:
         held -= _cache.popitem(last=False)[1][1]
@@ -425,8 +436,7 @@ def _store_entry(key: tuple[bytes, float, float], n: int) -> tuple[str, bytes, n
     tail = _packed([offsets, struct.pack("<dd", alpha, weight_exp)])
     name = f"{n}-{zlib.crc32(tail, crc):08x}.npy"
     raw = stamp + tail + bytes(-(len(stamp) + len(tail)) % 64)
-    size = sum((r1 - r0) * r1 for r0, r1 in _block_bounds(n))
-    dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (size,))])
+    dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (_packed_size(n),))])
     return name, raw, dtype
 
 
@@ -444,8 +454,8 @@ def _store_dir() -> str:
     return path
 
 
-def _load_table(key: tuple[bytes, float, float], n: int) -> _Table | None:
-    """The stored table for ``key``, its blocks mapped read-only, or None on a miss."""
+def _load_table(key: tuple[bytes, float, float], n: int) -> np.ndarray | None:
+    """The stored packed table for ``key``, mapped read-only, or None on a miss."""
     try:
         name, raw, dtype = _store_entry(key, n)
         path = os.path.join(_store_dir(), name)
@@ -454,25 +464,16 @@ def _load_table(key: tuple[bytes, float, float], n: int) -> _Table | None:
                 or stored.dtype != dtype or stored["key"].tobytes() != raw):
             return None
         os.utime(path)  # eviction goes by last use
-        packed = stored["table"].view(np.ndarray)
-        blocks, start = [], 0
-        for r0, r1 in _block_bounds(n):
-            stop = start + (r1 - r0) * r1
-            blocks.append(packed[start:stop].reshape(r1 - r0, r1))
-            start = stop
-        return tuple(blocks)
+        return stored["table"].view(np.ndarray)
     except _STORE_ERRORS:
         return None
 
 
-def _save_table(key: tuple[bytes, float, float], table: _Table) -> None:
-    """Store ``table`` atomically, then evict the oldest files over budget.
-
-    The blocks are written row by row, so no block is copied.
-    """
+def _save_table(key: tuple[bytes, float, float], n: int, packed: np.ndarray) -> None:
+    """Store the packed table atomically, then evict the oldest files over budget."""
     tmp = None
     try:
-        name, raw, dtype = _store_entry(key, table[-1].shape[1] - 1)
+        name, raw, dtype = _store_entry(key, n)
         if dtype.itemsize > _STORE_BYTES:
             return
         store = _store_dir()
@@ -482,9 +483,7 @@ def _save_table(key: tuple[bytes, float, float], table: _Table) -> None:
             header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": ()}
             np.lib.format.write_array_header_1_0(f, header)
             f.write(raw)
-            for block in table:
-                for row in block:
-                    f.write(row)
+            f.write(packed)
             # on disk before the rename, so a crash cannot leave a named file
             # whose key is there but whose table is not
             os.fsync(f.fileno())
@@ -514,66 +513,59 @@ def _evict(store: str, newest: str) -> None:
             os.unlink(path)
 
 
-def _row_blocks(n: int):
-    """Row ranges ``[r0, r1)`` of an ``(n+1)``-square table, ``_BLOCK_BYTES`` each.
-
-    Row ``i`` reads cells ``j < i`` only, so a block needs the first
-    ``r1 - 1`` cells and its temporaries cover the lower trapezoid.
-    """
-    step = max(1, _BLOCK_BYTES // (8 * (n + 1)))
-    for r0 in range(0, n + 1, step):
-        yield r0, min(r0 + step, n + 1)
-
-
 def _build_plain_table(mesh: Mesh, alpha: float) -> np.ndarray:
-    """Product-integration table acting on plain samples.
+    """Packed product-integration table acting on plain samples.
 
-    Each row block evaluates its cells' kernel moments densely, in place;
-    only the few cells next to each row's node (``_pow_diffs``' far ones)
-    and past it are handled apart, so the block moves no gathered copies of
-    its majority.
+    Each row block is filled in groups of rows whose temporaries cover
+    about ``_BLOCK_BYTES``.  A group evaluates its cells' kernel moments
+    densely, in place; only the few cells next to each row's node
+    (``_pow_diffs``' far ones) and past it are handled apart, so it moves
+    no gathered copies of its majority.
     """
     X = mesh.offsets
     n = mesh.n
     ga = gamma_fn(alpha)
-    W = np.zeros((n + 1, n + 1))
-    for r0, r1 in _row_blocks(n):
-        m = r1 - 1
-        if m == 0:
-            continue
-        h = X[1:r1] - X[:m]
-        A = X[r0:r1, None] - X[:m]
-        B = X[r0:r1, None] - X[1:r1]
-        # from cell r0 on, a row meets cells past its own node, which it does
-        # not read: the stand-ins A = 1, B = 1/2 keep them finite, and their
-        # moments are dropped below
-        past = np.arange(r0, m) >= np.arange(r0, r1)[:, None]
-        np.maximum(B[:, r0:], 0.0, out=B[:, r0:])
-        np.copyto(A[:, r0:], 1.0, where=past)
-        np.copyto(B[:, r0:], 0.5, where=past)
-        d0, d1 = _pow_diffs(B, A, (alpha, alpha + 1.0))
-        d0 /= alpha
-        d1 /= alpha + 1.0
-        # one-sided first moments of the kernel over each cell; they sum to h * d0
-        B *= d0
-        np.subtract(d1, B, out=B)
-        B /= h
-        w_left = np.maximum(B, 0.0, out=B)
-        A *= d0
-        A -= d1
-        A /= h
-        w_right = np.maximum(A, 0.0, out=A)
-        np.copyto(w_left[:, r0:], 0.0, where=past)
-        np.copyto(w_right[:, r0:], 0.0, where=past)
-        # entry j takes cell j's left moment and cell j - 1's right one
-        w_left[:, 1:] += w_right[:, :-1]
-        np.divide(w_left, ga, out=W[r0:r1, :m])
-        np.divide(w_right[:, -1], ga, out=W[r0:r1, m])
-    return W
+    packed = np.zeros(_packed_size(n))
+    for (b0, b1), block in zip(_block_bounds(n), _blocks(packed, n)):
+        step = max(1, _BLOCK_BYTES // (8 * b1))
+        for r0 in range(b0, b1, step):
+            r1 = min(r0 + step, b1)
+            m = r1 - 1
+            if m == 0:
+                continue
+            h = X[1:r1] - X[:m]
+            A = X[r0:r1, None] - X[:m]
+            B = X[r0:r1, None] - X[1:r1]
+            # from cell r0 on, a row meets cells past its own node, which it does
+            # not read: the stand-ins A = 1, B = 1/2 keep them finite, and their
+            # moments are dropped below
+            past = np.arange(r0, m) >= np.arange(r0, r1)[:, None]
+            np.maximum(B[:, r0:], 0.0, out=B[:, r0:])
+            np.copyto(A[:, r0:], 1.0, where=past)
+            np.copyto(B[:, r0:], 0.5, where=past)
+            d0, d1 = _pow_diffs(B, A, (alpha, alpha + 1.0))
+            d0 /= alpha
+            d1 /= alpha + 1.0
+            # one-sided first moments of the kernel over each cell; they sum to h * d0
+            B *= d0
+            np.subtract(d1, B, out=B)
+            B /= h
+            w_left = np.maximum(B, 0.0, out=B)
+            A *= d0
+            A -= d1
+            A /= h
+            w_right = np.maximum(A, 0.0, out=A)
+            np.copyto(w_left[:, r0:], 0.0, where=past)
+            np.copyto(w_right[:, r0:], 0.0, where=past)
+            # entry j takes cell j's left moment and cell j - 1's right one
+            w_left[:, 1:] += w_right[:, :-1]
+            np.divide(w_left, ga, out=block[r0 - b0:r1 - b0, :m])
+            np.divide(w_right[:, -1], ga, out=block[r0 - b0:r1 - b0, m])
+    return packed
 
 
 def _build_weighted_table(mesh: Mesh, alpha: float, gamma_u: float) -> np.ndarray:
-    """Table acting on the stored values of data with weight ``1 - gamma_u``.
+    """Packed table acting on the stored values of data with weight ``1 - gamma_u``.
 
     Every cell is integrated against the basis
     ``(x - x0)**(g_u - 1) * {1, linear}``, so the rule is exact for the
@@ -596,12 +588,14 @@ def _build_weighted_table(mesh: Mesh, alpha: float, gamma_u: float) -> np.ndarra
     (``_beta_cell_moments``), in batches whose two endpoint ratios per
     ``(row, cell)`` pair fill about ``_BLOCK_BYTES``.  An entry receives at
     most two nonzero moments, so the order in which they land does not
-    change its bits, and neither do the tile and batch sizes.
+    change its bits, and neither do the tile and batch sizes.  The square's
+    row blocks then move to the front of its buffer, which shrinks to them.
     """
     n = mesh.n
     dx = mesh.offsets
     h = dx[1:] - dx[:-1]
-    V = np.zeros((n + 1, n + 1))
+    packed = np.zeros((n + 1) ** 2)
+    V = packed.reshape(n + 1, n + 1)
     # per rule, the reach of each cell in widths; a cell's last rule is the
     # last one it reaches from x0 (-1: none), and each rule starts on the
     # first row whose node it reaches
@@ -633,7 +627,13 @@ def _build_weighted_table(mesh: Mesh, alpha: float, gamma_u: float) -> np.ndarra
             stop = starts[k + 1][c0:c1] if band else np.full(c1 - c0, n + 1)
             _gauss_panel(V, dx, c0, c1, starts[k][c0:c1], stop, _GL_RULES[k],
                          alpha, gamma_u, workspace, band)
-    return V
+    # each block lands at or before its rows; numpy copies overlapping ones
+    for (r0, r1), block in zip(_block_bounds(n), _blocks(packed, n)):
+        block[...] = V[r0:r1, :r1]
+    del V, block
+    # no view of the buffer is left, so moving it strands none
+    packed.resize(_packed_size(n), refcheck=False)
+    return packed
 
 
 def _gauss_panel(V, dx, c0, c1, lo, hi, rule, alpha, gamma_u, workspace, shear) -> None:

@@ -1,12 +1,14 @@
-"""Shared helpers: loading the bundled worked problems, and a private table
-store for the whole session."""
+"""Shared helpers: loading the bundled worked problems, the square of a
+packed quadrature table, and a private table store for the whole session."""
 
 import os
 import pathlib
 import shutil
 
+import numpy as np
 import pytest
 
+from fracstab import fraccalc
 from fracstab.cli import ProblemFile, load_problem
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -15,6 +17,14 @@ PROBLEMS = ROOT / "problems"
 
 def load_example(index: int) -> ProblemFile:
     return load_problem(str(PROBLEMS / f"example{index}.json"))
+
+
+def square_table(packed: np.ndarray, n: int) -> np.ndarray:
+    """The ``(n+1)**2`` square whose row blocks ``packed`` holds back to back."""
+    W = np.zeros((n + 1, n + 1))
+    for (r0, r1), block in zip(fraccalc._block_bounds(n), fraccalc._blocks(packed, n)):
+        W[r0:r1, :r1] = block
+    return W
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -32,7 +33,7 @@ from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh
 from fracstab.solver import default_grading, picard_solve
 from fracstab.specfun import gamma_fn, mittag_leffler_many
 
-from conftest import ROOT, load_example
+from conftest import ROOT, load_example, square_table
 
 PSI_CASES = [
     (PsiMap("identity"), 0.0, 1.0),
@@ -228,6 +229,25 @@ def test_table_builds_do_not_depend_on_block_size(monkeypatch, psi, a, T, block_
             assert np.array_equal(fraccalc._build_weighted_table(mesh, 0.5, 0.75), weighted)
 
 
+def test_table_builds_hold_their_blocks_only():
+    # a plain build writes its blocks in place and never allocates the
+    # square; a weighted build fills the square, then shrinks it to its blocks
+    n = 2048
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=4.0)
+    square = 8 * (n + 1) ** 2
+    tracemalloc.start()
+    try:
+        fraccalc._build_plain_table(mesh, 0.5)
+        plain_peak = tracemalloc.get_traced_memory()[1]
+        packed = fraccalc._build_weighted_table(mesh, 0.5, 0.75)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plain_peak < 0.7 * square
+    assert packed.flags.owndata and packed.nbytes == 8 * fraccalc._packed_size(n)
+    assert held < 0.6 * square
+
+
 def test_gauss_legendre_constants():
     # each literal rule is the Gauss-Legendre rule of its size mapped to [0, 1]
     sizes = []
@@ -317,7 +337,7 @@ _ACCURACY_SAMPLES = {
 @pytest.mark.parametrize("psi,a,T,grading,alpha,gamma_u,bounds", _ACCURACY_CASES)
 def test_weighted_table_entries_against_mpmath(psi, a, T, grading, alpha, gamma_u, bounds):
     mesh = build_mesh(psi, a, T, 1024, grading)
-    V = fraccalc._build_weighted_table(mesh, alpha, gamma_u)
+    V = square_table(fraccalc._build_weighted_table(mesh, alpha, gamma_u), 1024)
     bounds = dict(bounds, interior=1e-14, tiers=1e-15)
     with mp.workdps(30):
         for group, entries in _ACCURACY_SAMPLES.items():
@@ -336,7 +356,7 @@ def test_weighted_table_rule_boundaries_against_mpmath(psi, a, T, grading, alpha
     # node) and along the last row (by the distance from x0).
     n = 1024
     mesh = build_mesh(psi, a, T, n, grading)
-    V = fraccalc._build_weighted_table(mesh, alpha, gamma_u)
+    V = square_table(fraccalc._build_weighted_table(mesh, alpha, gamma_u), n)
     dx = mesh.offsets
     h = np.diff(dx)
     entries = set()
@@ -359,7 +379,7 @@ def test_weighted_table_large_order_against_mpmath():
     # a kernel exponent of 19 stretches the reduced rules' separations; at
     # 33 widths the 4-node rule would miss entry [161, 136] by 4e-11
     mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 256, 4.0)
-    V = fraccalc._build_weighted_table(mesh, 20.0, 0.5)
+    V = square_table(fraccalc._build_weighted_table(mesh, 20.0, 0.5), 256)
     with mp.workdps(30):
         for i, j in ((161, 136), (200, 150), (256, 200), (256, 128)):
             ref = _weighted_entry(mesh.offsets, i, j, 20.0, 0.5)
@@ -473,21 +493,9 @@ def test_blocked_product_keeps_every_bit_on_baseline_simd():
 
 @pytest.mark.parametrize("example", [1, 5, 7])
 def test_picard_iterates_do_not_depend_on_block_rows(monkeypatch, tmp_path, example):
-    # one block of n + 1 rows is the square product; each table is built
-    # once and then only cut into blocks of another height
+    # one block of n + 1 rows is the square product; every height builds
+    # its own packed tables, and a stored table of another height is a miss
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    squares = {}
-
-    def memo(build):
-        def wrapper(mesh, *args):
-            key = (build.__name__, mesh.offsets.tobytes(), *args)
-            if key not in squares:
-                squares[key] = build(mesh, *args)
-            return squares[key]
-        return wrapper
-
-    for name in ("_build_plain_table", "_build_weighted_table"):
-        monkeypatch.setattr(fraccalc, name, memo(getattr(fraccalc, name)))
     p = load_example(example).problem
     for n in (127, 300, 2048):
         mesh = build_mesh(p.psi, p.a, p.T, n, default_grading(p.order))

@@ -15,7 +15,7 @@ from fracstab import fraccalc
 from fracstab.cli import main
 from fracstab.psi_space import GridFunction, PsiMap, build_mesh
 
-from conftest import PROBLEMS, ROOT
+from conftest import PROBLEMS, ROOT, square_table
 
 
 @pytest.fixture
@@ -47,6 +47,15 @@ def _owner(array):
     return array
 
 
+def _packed_doubles(table):
+    """How many doubles ``table``'s blocks hold, checked to lie back to back."""
+    start = end = table[0].__array_interface__["data"][0]
+    for block in table:
+        assert block.flags.c_contiguous and block.__array_interface__["data"][0] == end
+        end += block.nbytes
+    return (end - start) // 8
+
+
 @pytest.mark.parametrize("n", [1, 40])
 @pytest.mark.parametrize("weight_exp", [0.0, 0.25])
 def test_hit_equals_fresh_build(store, n, weight_exp):
@@ -55,25 +64,27 @@ def test_hit_equals_fresh_build(store, n, weight_exp):
     built = fraccalc._shared_table(mesh, 0.5, weight_exp)
     assert len(_files(store)) == 1
     fraccalc._cache.clear()
-    loaded = fraccalc._load_table((mesh.offsets.tobytes(), 0.5, weight_exp), n)
-    assert loaded is not None and loaded is not built
+    loaded = fraccalc._shared_table(mesh, 0.5, weight_exp)
+    assert loaded is not built
     if weight_exp == 0.0:
         fresh = fraccalc._build_plain_table(mesh, 0.5)
     else:
         fresh = fraccalc._build_weighted_table(mesh, 0.5, 1.0 - weight_exp)
+    square = square_table(fresh, n)
     bounds = fraccalc._block_bounds(n)
     assert len(built) == len(loaded) == len(bounds)
     for (r0, r1), block, mapped in zip(bounds, built, loaded):
         assert mapped.flags.writeable is False and mapped.flags.aligned
         assert block.flags.writeable is False
-        assert mapped.dtype == fresh.dtype and np.array_equal(mapped, fresh[r0:r1, :r1])
+        assert mapped.dtype == fresh.dtype and np.array_equal(mapped, square[r0:r1, :r1])
         assert np.array_equal(block, mapped)
-        assert not fresh[r0:r1, r1:].any()
-    # a built table's blocks are views of the square its build filled; the
-    # cache now hands out blocks of the mapped file
-    square = _owner(built[0])
-    assert square.shape == (n + 1, n + 1) and all(_owner(b) is square for b in built)
-    assert isinstance(_owner(fraccalc._shared_table(mesh, 0.5, weight_exp)[0]), mmap.mmap)
+    # built and mapped tables are both views of one packed buffer of
+    # _packed_size(n) doubles: the one its build returned, and the file's
+    size = fraccalc._packed_size(n)
+    assert _packed_doubles(built) == _packed_doubles(loaded) == size
+    packed = _owner(built[0])
+    assert packed.shape == (size,) and all(_owner(b) is packed for b in built)
+    assert isinstance(_owner(loaded[0]), mmap.mmap)
 
 
 def test_full_square_record_is_a_miss(store):
@@ -81,7 +92,7 @@ def test_full_square_record_is_a_miss(store):
     n = 130
     mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=2.0)
     key = (mesh.offsets.tobytes(), 0.5, 0.0)
-    square = fraccalc._build_plain_table(mesh, 0.5)
+    square = square_table(fraccalc._build_plain_table(mesh, 0.5), n)
     name, raw, _ = fraccalc._store_entry(key, n)
     dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (n + 1, n + 1))])
     record = np.zeros((), dtype)
@@ -93,8 +104,10 @@ def test_full_square_record_is_a_miss(store):
     table = fraccalc._shared_table(mesh, 0.5, 0.0)
     assert _files(store) == [name]
     fraccalc._cache.clear()
-    loaded = fraccalc._load_table(key, n)
-    assert loaded is not None and len(loaded) == 3
+    packed = fraccalc._load_table(key, n)
+    assert packed is not None
+    loaded = fraccalc._blocks(packed, n)
+    assert len(loaded) == 3
     for (r0, r1), block, mapped in zip(fraccalc._block_bounds(n), table, loaded):
         assert np.array_equal(mapped, square[r0:r1, :r1]) and np.array_equal(block, mapped)
 
@@ -110,7 +123,7 @@ def test_stored_table_holds_its_blocks_only(store):
     ones = np.ones(n + 1)
     got = fraccalc.FracIntegralOperator(mesh, 0.5).apply(GridFunction(mesh, ones, 0.0)).values
     assert isinstance(_owner(fraccalc._cache[(mesh.offsets.tobytes(), 0.5, 0.0)][0][0]), mmap.mmap)
-    want = np.einsum("ij,j->i", fraccalc._build_plain_table(mesh, 0.5), ones)
+    want = np.einsum("ij,j->i", square_table(fraccalc._build_plain_table(mesh, 0.5), n), ones)
     want[0] = 0.0
     assert np.array_equal(got, want)
 
