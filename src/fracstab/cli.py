@@ -175,8 +175,11 @@ def problem_from_dict(data) -> ProblemFile:
 
 
 def load_problem(path: str) -> ProblemFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as err:
+        raise SchemaError("document", f"not UTF-8: {err}") from err
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:

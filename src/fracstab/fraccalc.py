@@ -524,6 +524,12 @@ def _build_plain_table(mesh: Mesh, alpha: float) -> np.ndarray:
     """
     X = mesh.offsets
     n = mesh.n
+    # the moments below take powers alpha + 1 of distances up to the span
+    if (alpha + 1.0) * math.log(X[-1]) >= math.log(sys.float_info.max):
+        raise DomainError(
+            f"a psi-span of {float(X[-1])!r} is too wide for an integral of order {alpha!r}: "
+            "span**(alpha + 1) overflows double precision"
+        )
     ga = gamma_fn(alpha)
     packed = np.zeros(_packed_size(n))
     for (b0, b1), block in zip(_block_bounds(n), _blocks(packed, n)):

@@ -59,17 +59,22 @@ class PsiMap:
             )
 
     def value(self, t: float) -> float:
-        """psi(t) at one point, such as an end of the interval."""
+        """psi(t) at one point, such as an end of the interval; it must be finite."""
         t = float(t)
         if self.kind == "identity":
-            return t
-        if self.kind == "logarithm":
+            x = t
+        elif self.kind == "logarithm":
             if t <= 0.0:
                 raise DomainError("logarithm map requires t > 0")
-            return float(np.log(t))
-        if t < 0.0:
-            raise DomainError("power map requires t >= 0")
-        return float(np.power(t, self.rho))
+            x = float(np.log(t))
+        else:
+            if t < 0.0:
+                raise DomainError("power map requires t >= 0")
+            with np.errstate(over="ignore"):
+                x = float(np.power(t, self.rho))
+        if not math.isfinite(x):
+            raise DomainError(f"psi({t!r}) overflows double precision")
+        return x
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         """Inverse map x -> t over an array, such as a mesh's interior nodes."""
@@ -174,8 +179,11 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
         )
     xa = psi.value(a)
     xT = psi.value(T)
-    offsets = (xT - xa) * np.power(np.arange(n + 1, dtype=float) / n, grading)
-    offsets[-1] = xT - xa
+    span = xT - xa
+    if not math.isfinite(span):
+        raise DomainError(f"psi(T) - psi(a) overflows double precision for a={a!r}, T={T!r}")
+    offsets = span * np.power(np.arange(n + 1, dtype=float) / n, grading)
+    offsets[-1] = span
     if not np.all(np.diff(offsets) > 0.0):
         raise DomainError(
             f"grading {grading:g} is too steep for n = {n}: "

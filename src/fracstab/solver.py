@@ -76,6 +76,15 @@ class CauchyProblem:
             raise DomainError("logarithm reparametrisation requires a >= 1", key="a")
         if self.psi.kind == "power" and self.a < 0.0:
             raise DomainError("power reparametrisation requires a >= 0", key="a")
+        try:
+            span = self.psi.value(self.T) - self.psi.value(self.a)
+        except DomainError as err:  # psi(T) itself overflows
+            raise DomainError(str(err), key="T") from err
+        if not math.isfinite(span):
+            raise DomainError(
+                f"psi(T) - psi(a) overflows double precision for a={self.a!r}, "
+                f"T={self.T!r}", key="T"
+            )
         if not math.isfinite(self.y_a):
             raise DomainError(
                 f"initial datum must be finite, got {self.y_a!r}", key="y_a"
@@ -221,29 +230,33 @@ def picard_solve(
             if forcing is not None:
                 vals = vals + forcing
             return vals
-        with np.errstate(over="ignore"):  # evaluate reports what overflows
-            vals = evaluate(p.rhs, t[1:], y_hat[1:] * dxg, g_hat[1:] * dxg)
+        vals = evaluate(p.rhs, t[1:], y_hat[1:] * dxg, g_hat[1:] * dxg)
         if forcing is not None:
             vals = vals + forcing[1:]
         return _lift_weighted(vals, dxw, mesh)
 
-    g_hat = rhs_step(np.full(mesh.n + 1, pref), np.zeros(mesh.n + 1))
-    norms: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        g_next = rhs_step(_reconstruct_y(op, mesh, g_hat, w, pref), g_hat)
-        if not np.all(np.isfinite(g_next)):
-            raise NonConvergenceError(iteration, math.inf)
-        update = float(np.max(np.abs(g_next - g_hat)))
-        norms.append(update)
-        g_hat = g_next
-        if update <= tol:
-            y_hat = _reconstruct_y(op, mesh, g_hat, w, pref)
-            return Solution(
-                g=GridFunction(mesh, g_hat, w),
-                y=GridFunction(mesh, y_hat, w),
-                iterations=iteration,
-                update_norms=tuple(norms),
-            )
+    # evaluate reports what overflows in the rhs; a step that overflows
+    # elsewhere comes back non-finite and ends the iteration
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_hat = rhs_step(np.full(mesh.n + 1, pref), np.zeros(mesh.n + 1))
+        if not np.all(np.isfinite(g_hat)):
+            raise NonConvergenceError(0, math.inf)
+        norms: list[float] = []
+        for iteration in range(1, max_iter + 1):
+            g_next = rhs_step(_reconstruct_y(op, mesh, g_hat, w, pref), g_hat)
+            if not np.all(np.isfinite(g_next)):
+                raise NonConvergenceError(iteration, math.inf)
+            update = float(np.max(np.abs(g_next - g_hat)))
+            norms.append(update)
+            g_hat = g_next
+            if update <= tol:
+                y_hat = _reconstruct_y(op, mesh, g_hat, w, pref)
+                return Solution(
+                    g=GridFunction(mesh, g_hat, w),
+                    y=GridFunction(mesh, y_hat, w),
+                    iterations=iteration,
+                    update_norms=tuple(norms),
+                )
     raise NonConvergenceError(max_iter, norms[-1])
 
 
@@ -315,7 +328,10 @@ def _default_box(p: CauchyProblem) -> tuple[tuple[float, float], tuple[float, fl
         y_vals, g_vals = _plain_tail(sol.y), _plain_tail(sol.g)
     except (NonConvergenceError, DomainError, EvaluationError):
         gamma = p.order.gamma
-        y_vals = p.y_a / gamma_fn(gamma) * np.power(mesh.offsets[1:], gamma - 1.0)
+        with np.errstate(over="ignore"):
+            y_vals = p.y_a / gamma_fn(gamma) * np.power(mesh.offsets[1:], gamma - 1.0)
+        if not np.all(np.isfinite(y_vals)):
+            raise EstimationError("the initial layer overflows double precision")
         g_vals = np.zeros_like(y_vals)
     return _pad_range(y_vals), _pad_range(g_vals)
 

@@ -92,6 +92,16 @@ def test_document_must_be_valid_json(tmp_path):
     assert info.value.key == "document"
 
 
+def test_document_must_be_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff")
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: key 'document': not UTF-8: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "doc,key,reason",
     [
@@ -455,6 +465,46 @@ def test_weighted_problem_with_huge_initial_datum_exits_two(tmp_path):
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
             assert "Warning" not in proc.stderr
+
+
+OVERFLOWS = [
+    # a psi-span that does not fit in double precision names the key T
+    (mutate(a=-1e308, T=1e308), "solve", 2, "error: key 'T': psi(T) - psi(a) overflows"),
+    (mutate(a=-1e308, T=1e308, lipschitz={"k": 0.1, "l": 0.0}), "certify", 2,
+     "error: key 'T': psi(T) - psi(a) overflows"),
+    (mutate(psi={"kind": "power", "rho": 2.0}, T=1e200), "solve", 2,
+     "error: key 'T': psi(1e+200) overflows"),
+    # span**(alpha + 1) overflows in a plain table from a span of about 3.2e205
+    (mutate(T=1e300, rhs="0*y"), "solve", 2, "error: a psi-span of 1e+300 is too wide"),
+    (mutate(T=1e205, rhs="0*y"), "solve", 0, None),
+    # a Picard seed or sweep that overflows does not converge
+    (mutate(y_a=1e308, rhs="y"), "solve", 3, "error: no convergence after 1 iterations"),
+    (mutate(beta=0.0, y_a=1e308, rhs="y"), "solve", 3, "error: no convergence after 0 iterations"),
+    (mutate(beta=0.0, T=1e300, rhs="y"), "solve", 3, "error: no convergence after"),
+]
+
+
+@pytest.mark.parametrize("doc,command,code,error", OVERFLOWS)
+def test_overflowing_problems_exit_with_one_error_line(tmp_path, doc, command, code, error):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--n", "32"] if command == "solve" else []
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracstab",
+         command, str(path), *extra],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    if error is None:
+        assert errors == []
+    else:
+        assert len(errors) == 1 and errors[0].startswith(error), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_certify_refuses_estimate_with_l_above_one(capsys, tmp_path):

@@ -259,3 +259,45 @@ def test_estimate_lipschitz_rejects_unevaluable_box():
     p = _problem("1/(y - y)")
     with pytest.raises((EstimationError, NonConvergenceError)):
         estimate_lipschitz(p)
+
+
+
+# Metamorphic relations.  With alpha = 1/2 the default grading is 4, so at
+# n = 256 every offset (j/256)**4 = j**4 / 2**32 is a dyadic rational with at
+# most 32 fraction bits: s + x and its difference with s are exact for
+# s <= 1e4, and so are sqrt(x) and its square.  The shifted and the t**2
+# problems therefore evaluate the very same rhs values as [0, 1] does.
+# If a relation fails, the program is at fault, not the relation.
+
+def _metamorphic_y(beta, rhs, **where):
+    p = _problem(rhs, alpha=0.5, beta=beta, **where)
+    return picard_solve(p, _mesh(p, 256), tol=1e-13).y.values
+
+
+def _relative(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_shifting_the_interval_keeps_every_bit(beta):
+    want = _metamorphic_y(beta, "0.5*y + 0.1*d + cos(3*t)")
+    for s in (1.0, 100.0, 1e4):
+        got = _metamorphic_y(beta, f"0.5*y + 0.1*d + cos(3*(t - {s!r}))", a=s, T=s + 1.0)
+        assert np.array_equal(got, want), s
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_reparametrised_problems_match_the_identity(beta):
+    want = _metamorphic_y(beta, "0.5*y + 0.1*d + cos(3*t)")
+    squared = _metamorphic_y(beta, "0.5*y + 0.1*d + cos(3*t^2)", psi=PsiMap("power", rho=2.0))
+    assert np.array_equal(squared, want)
+    logged = _metamorphic_y(beta, "0.5*y + 0.1*d + cos(3*ln(t))", psi=PsiMap("logarithm"),
+                            a=1.0, T=math.e)
+    assert _relative(logged, want) <= 1e-15
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_scaling_the_initial_datum_scales_the_solution(beta):
+    # linear and homogeneous: only the Picard stopping tolerance separates them
+    want = 3.0 * _metamorphic_y(beta, "0.5*y + 0.1*d")
+    assert _relative(_metamorphic_y(beta, "0.5*y + 0.1*d", y_a=3.0), want) <= 1e-12
