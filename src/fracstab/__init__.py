@@ -28,6 +28,7 @@ from .psi_space import (
     Mesh,
     PsiMap,
     build_mesh,
+    default_grading,
 )
 from .rhs_expr import (
     evaluate,
@@ -40,7 +41,6 @@ from .solver import (
     Solution,
     UniquenessCertificate,
     certify_unique,
-    default_grading,
     estimate_lipschitz,
     picard_solve,
 )

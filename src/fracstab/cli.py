@@ -23,7 +23,6 @@ import sys
 from dataclasses import dataclass, replace
 
 from .errors import (
-    CertificationError,
     DomainError,
     EstimationError,
     FracstabError,
@@ -32,13 +31,12 @@ from .errors import (
     SchemaError,
 )
 from .fraccalc import run_operator_checks
-from .psi_space import PSI_KINDS, FracOrder, Mesh, PsiMap, build_mesh
+from .psi_space import PSI_KINDS, FracOrder, Mesh, PsiMap, build_mesh, default_grading
 from .rhs_expr import Expr, RESERVED_NAMES, free_variables, parse_expression
 from .solver import (
     CauchyProblem,
     Solution,
     certify_unique,
-    default_grading,
     estimate_lipschitz,
     picard_solve,
 )
@@ -250,18 +248,16 @@ def _lambda_phi(pf: ProblemFile, mesh: Mesh) -> tuple[float, float, bool | None]
 # ---------------------------------------------------------------------------
 # subcommands
 
+#: The ``specfun`` subcommand's functions and their arities.
+_SPECFUNS = {"gamma": (gamma_fn, 1), "erf": (erf_fn, 1), "ml": (mittag_leffler, 2)}
+
+
 def cmd_specfun(args) -> int:
-    arity = {"gamma": 1, "erf": 1, "ml": 2}[args.function]
+    fn, arity = _SPECFUNS[args.function]
     if len(args.values) != arity:
         _note(f"error: {args.function} takes {arity} argument(s)")
         return 2
-    if args.function == "gamma":
-        value = gamma_fn(args.values[0])
-    elif args.function == "erf":
-        value = erf_fn(args.values[0])
-    else:
-        value = mittag_leffler(args.values[0], args.values[1])
-    print(format(value, ".12g"))
+    print(format(fn(*args.values), ".12g"))
     return 0
 
 
@@ -448,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fun = sub.add_parser("specfun", help="evaluate a special function")
-    p_fun.add_argument("function", choices=("gamma", "erf", "ml"))
+    p_fun.add_argument("function", choices=_SPECFUNS)
     p_fun.add_argument("values", type=float, nargs="+")
     p_fun.set_defaults(func=cmd_specfun)
 
@@ -491,9 +487,6 @@ def main(argv=None) -> int:
     except NonConvergenceError as err:
         _note(f"error: {err}")
         return 3
-    except CertificationError as err:
-        _note(f"error: {err}")
-        return 4
     except (FracstabError, OSError) as err:
         _note(f"error: {err}")
         return 2

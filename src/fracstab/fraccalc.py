@@ -815,8 +815,6 @@ def _weighted_residual_max(mesh: Mesh, res: np.ndarray, order: FracOrder) -> flo
     dx = mesh.offsets
     w = order.weight
     sl = slice(_interior_lo(mesh), None)
-    if w == 0.0:
-        return float(np.max(np.abs(res[sl])))
     return float(np.max(np.power(dx[sl], w) * np.abs(res[sl])))
 
 

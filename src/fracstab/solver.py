@@ -17,7 +17,7 @@ the stopping test live in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "certify_unique",
     "picard_solve",
     "estimate_lipschitz",
-    "default_grading",
 ]
 
 
@@ -65,6 +64,7 @@ class CauchyProblem:
     y_a: float
     rhs: Expr
     lipschitz: tuple[float, float] | None = None
+    span: float = field(init=False, compare=False, repr=False)  # psi(T) - psi(a)
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.T) and self.T > self.a):
@@ -85,6 +85,7 @@ class CauchyProblem:
                 f"psi(T) - psi(a) overflows double precision for a={self.a!r}, "
                 f"T={self.T!r}", key="T"
             )
+        object.__setattr__(self, "span", span)
         if not math.isfinite(self.y_a):
             raise DomainError(
                 f"initial datum must be finite, got {self.y_a!r}", key="y_a"
@@ -149,8 +150,7 @@ def certify_unique(p: CauchyProblem) -> UniquenessCertificate:
     if p.lipschitz is None:
         raise ContractError("no Lipschitz constants: declare them on the problem")
     k, l = p.lipschitz
-    span = p.psi.value(p.T) - p.psi.value(p.a)
-    base = k * span ** p.order.alpha / gamma_fn(p.order.alpha + 1.0)
+    base = k * p.span ** p.order.alpha / gamma_fn(p.order.alpha + 1.0)
     ratio = base / (1.0 - l)
     return UniquenessCertificate(
         certified=bool(ratio < 1.0), ratio=ratio, factor=base + l, base=base

@@ -36,6 +36,17 @@ __all__ = [
 ]
 
 
+def _on_positive_axis(fn, name: str, x: float) -> float:
+    """``fn(x)`` for finite ``x > 0``; ``DomainError`` otherwise or on overflow."""
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"{name} requires a finite x > 0, got {x!r}")
+    try:
+        return fn(x)
+    except OverflowError:
+        raise DomainError(f"{name}({x!r}) overflows double precision") from None
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function on the positive real axis: ``math.gamma`` behind checks.
 
@@ -45,24 +56,12 @@ def gamma_fn(x: float) -> float:
         If ``x`` is not a finite number above 0, or ``gamma(x)`` overflows
         double precision (``x`` above 171.62 or below about 5.6e-309).
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma_fn requires a finite x > 0, got {x!r}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise DomainError(f"gamma_fn({x!r}) overflows double precision") from None
+    return _on_positive_axis(math.gamma, "gamma_fn", x)
 
 
 def log_gamma(x: float) -> float:
     """Natural log of gamma for finite x > 0, far beyond gamma's overflow."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires a finite x > 0, got {x!r}")
-    try:
-        return math.lgamma(x)
-    except OverflowError:
-        raise DomainError(f"log_gamma({x!r}) overflows double precision") from None
+    return _on_positive_axis(math.lgamma, "log_gamma", x)
 
 
 def erf_fn(z: float) -> float:

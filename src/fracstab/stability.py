@@ -77,9 +77,8 @@ class StabilityCertificate:
         _certified(p)
         k, l = p.lipschitz
         alpha = p.order.alpha
-        span = p.psi.value(p.T) - p.psi.value(p.a)
-        lead = span**alpha / (gamma_fn(alpha + 1.0) * (1.0 - l))
-        return cls(c_f=lead * mittag_leffler(alpha, k / (1.0 - l) * span**alpha))
+        lead = p.span**alpha / (gamma_fn(alpha + 1.0) * (1.0 - l))
+        return cls(c_f=lead * mittag_leffler(alpha, k / (1.0 - l) * p.span**alpha))
 
     @classmethod
     def ulam_hyers_rassias(
@@ -232,34 +231,22 @@ class PerturbationReport:
 def _smooth_noise(rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform nodewise draw in [-1, 1] with one averaging pass."""
     raw = rng.uniform(-1.0, 1.0, count)
-    out = raw.copy()
-    if count >= 3:
-        out[1:-1] = (raw[:-2] + raw[1:-1] + raw[2:]) / 3.0
-    if count >= 2:
-        out[0] = (raw[0] + raw[1]) / 2.0
-        out[-1] = (raw[-2] + raw[-1]) / 2.0
+    out = np.empty(count)
+    out[1:-1] = (raw[:-2] + raw[1:-1] + raw[2:]) / 3.0
+    out[0] = (raw[0] + raw[1]) / 2.0
+    out[-1] = (raw[-2] + raw[-1]) / 2.0
     return out
 
 
 def _draw_perturbation(
-    spec: PerturbationSpec,
-    seq: np.random.SeedSequence,
-    envelope: np.ndarray,
-    weighted: bool,
+    spec: PerturbationSpec, seq: np.random.SeedSequence, envelope: np.ndarray
 ) -> np.ndarray:
     """Forcing values at the nodes, inside the admissible envelope."""
     if spec.shape == "zero":
         return np.zeros(envelope.size)
     if spec.shape == "constant":
-        if weighted:
-            raise ContractError(
-                "constant shape breaks the weighted envelope near t = a; "
-                "use phi_scaled or random_bounded"
-            )
         return np.full(envelope.size, spec.epsilon)
     if spec.shape == "phi_scaled":
-        if not weighted:
-            raise ContractError("phi_scaled shape needs a comparison function")
         return envelope.copy()
     return envelope * _smooth_noise(np.random.default_rng(seq), envelope.size)
 
@@ -306,6 +293,13 @@ def perturb_and_check(
     and fails the report.
     """
     weighted = cert.phi is not None
+    if weighted and spec.shape == "constant":
+        raise ContractError(
+            "constant shape breaks the weighted envelope near t = a; "
+            "use phi_scaled or random_bounded"
+        )
+    if not weighted and spec.shape == "phi_scaled":
+        raise ContractError("phi_scaled shape needs a comparison function")
 
     def build_level(on: Mesh, op: FracIntegralOperator | None = None) -> _Level:
         op = op if op is not None else FracIntegralOperator(on, p.order.alpha)
@@ -333,7 +327,7 @@ def perturb_and_check(
     rows: list[TrialResult] = []
     for trial in range(spec.trials):
         seq = np.random.SeedSequence(spec.seed, spawn_key=(trial,))
-        pert = _draw_perturbation(spec, seq, coarse.envelope, weighted)
+        pert = _draw_perturbation(spec, seq, coarse.envelope)
         refined = False
         try:
             deviation, bound, ratio = measure(coarse, pert)
@@ -352,7 +346,7 @@ def perturb_and_check(
                         -fine.envelope, fine.envelope,
                     )
                 else:
-                    pert = _draw_perturbation(spec, seq, fine.envelope, weighted)
+                    pert = _draw_perturbation(spec, seq, fine.envelope)
                 deviation, bound, ratio = measure(fine, pert)
             verdict = "pass" if ratio <= 1.0 + _ALLOWANCE else "fail"
         except _TRIAL_ERRORS:

@@ -25,12 +25,11 @@ from fracstab.fraccalc import (
     run_operator_checks,
 )
 from fracstab.cli import main, problem_from_dict
-from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh
+from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh, default_grading
 from fracstab.rhs_expr import parse_expression
 from fracstab.solver import (
     CauchyProblem,
     certify_unique,
-    default_grading,
     picard_solve,
 )
 from fracstab.specfun import erf_fn, gamma_fn, mittag_leffler, mittag_leffler_many

@@ -14,8 +14,8 @@ from fracstab.cli import (
     _num15, _usable_lipschitz, load_problem, main, problem_from_dict,
 )
 from fracstab.errors import SchemaError
-from fracstab.psi_space import PSI_KINDS, build_mesh
-from fracstab.solver import certify_unique, default_grading, picard_solve
+from fracstab.psi_space import PSI_KINDS, build_mesh, default_grading
+from fracstab.solver import certify_unique, picard_solve
 
 from conftest import PROBLEMS, ROOT
 

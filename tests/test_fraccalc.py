@@ -29,8 +29,8 @@ from fracstab.fraccalc import (
     kernel_null_residual,
     run_operator_checks,
 )
-from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh
-from fracstab.solver import default_grading, picard_solve
+from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh, default_grading
+from fracstab.solver import picard_solve
 from fracstab.specfun import gamma_fn, mittag_leffler_many
 
 from conftest import ROOT, load_example, square_table

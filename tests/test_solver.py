@@ -13,13 +13,12 @@ from fracstab.errors import (
     NonConvergenceError,
 )
 from fracstab.fraccalc import FracIntegralOperator, hilfer_derivative
-from fracstab.psi_space import FracOrder, PsiMap, build_mesh
+from fracstab.psi_space import FracOrder, PsiMap, build_mesh, default_grading
 from fracstab.rhs_expr import parse_expression
 from fracstab.solver import (
     CauchyProblem,
     Solution,
     certify_unique,
-    default_grading,
     estimate_lipschitz,
     picard_solve,
 )

@@ -13,9 +13,9 @@ from fracstab.errors import (
     ContractError,
     DomainError,
 )
-from fracstab.psi_space import FracOrder, PsiMap, build_mesh
+from fracstab.psi_space import FracOrder, PsiMap, build_mesh, default_grading
 from fracstab.rhs_expr import parse_expression
-from fracstab.solver import CauchyProblem, default_grading
+from fracstab.solver import CauchyProblem
 from fracstab.stability import (
     PERTURBATION_SHAPES,
     PerturbationSpec,
@@ -233,6 +233,26 @@ def test_shape_certificate_mismatches():
             pf5.problem, cert5,
             PerturbationSpec(epsilon=1e-2, shape="constant", trials=1), mesh5,
         )
+
+
+def test_shape_is_checked_against_the_certificate_before_any_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before checking the shape")
+
+    monkeypatch.setattr(stability, "picard_solve", refuse)
+    pf1, pf5 = load_example(1), load_example(5)
+    for p, cert, shape, message in (
+        (pf1.problem, StabilityCertificate.ulam_hyers(pf1.problem), "phi_scaled",
+         "phi_scaled shape needs a comparison function"),
+        (pf5.problem, StabilityCertificate.ulam_hyers_rassias(pf5.problem, pf5.phi, pf5.lambda_phi),
+         "constant", "constant shape breaks the weighted envelope near t = a; "
+         "use phi_scaled or random_bounded"),
+    ):
+        with pytest.raises(ContractError) as info:
+            perturb_and_check(
+                p, cert, PerturbationSpec(epsilon=1e-2, shape=shape, trials=1), _mesh_for(p, 16)
+            )
+        assert str(info.value) == message
 
 
 def test_random_trials_deterministic_and_seeded():

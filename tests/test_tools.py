@@ -106,7 +106,7 @@ def _numbers(ranges: str) -> set[int]:
 
 def test_line_trace_merges_runs_and_reports_the_rest(tmp_path):
     hits = tmp_path / "hits.json"
-    gamma = _line("specfun.py", "return math.gamma(x)")
+    gamma = _line("specfun.py", 'return _on_positive_axis(math.gamma, "gamma_fn", x)')
     series = _line("specfun.py", "return float(mittag_leffler_many(mu, np.asarray(float(z))))")
     opened = _line("cli.py", 'with open(path, "r", encoding="utf-8") as handle:')
 
