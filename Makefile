@@ -2,7 +2,7 @@ PY ?= python3
 CLI ?= PYTHONPATH=src $(PY) -m fracstab
 EXAMPLES := 1 2 3 4 5 6 7
 
-.PHONY: test golden ops outputs outputs-diff bench-tables bench-smoke
+.PHONY: test golden ops outputs outputs-diff bench-tables bench-smoke check
 
 test:
 	$(PY) -m pytest -q
@@ -83,3 +83,20 @@ bench-tables:
 bench-smoke:
 	$(PY) -m pytest perfbench/test_smoke.py -q -p no:cacheprovider
 	$(PY) tools/trace_smoke.py
+
+# The gate a change passes against a checkout of its parent: tier-1, the
+# benchmark's smoke tests, then `make outputs` in both trees, first with an
+# empty and then with the filled table store, each pair compared with
+# `diff -r`.  Exits non-zero on any failure or difference.
+# Usage: make check BASE=dir
+check:
+	@test -n "$(BASE)" || { echo "usage: make check BASE=dir" >&2; exit 2; }
+	$(MAKE) test
+	$(MAKE) bench-smoke
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for run in empty filled; do \
+		$(MAKE) -C "$(abspath $(BASE))" outputs OUT=$$tmp/base-$$run STORE=$$tmp/base-store && \
+		$(MAKE) outputs OUT=$$tmp/change-$$run STORE=$$tmp/change-store && \
+		diff -r $$tmp/base-$$run $$tmp/change-$$run || exit 1; \
+		echo "make outputs, $$run store: no difference"; \
+	done

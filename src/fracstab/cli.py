@@ -71,7 +71,10 @@ class ProblemFile:
 def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(key, "expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond double range
+        raise SchemaError(key, "must be finite") from None
     if not math.isfinite(out):
         raise SchemaError(key, "must be finite")
     return out
@@ -180,7 +183,7 @@ def load_problem(path: str) -> ProblemFile:
         raise SchemaError("document", f"not UTF-8: {err}") from err
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # syntax, huge integers, deep nesting
         raise SchemaError("document", f"not valid JSON: {err}") from err
     return problem_from_dict(data)
 

@@ -158,10 +158,11 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     """Construct a graded mesh of ``n`` intervals on ``[a, T]``.
 
     Endpoints are pinned exactly; interior nodes come from inverting the
-    transformed-coordinate grading formula.  A quadrature table is built
-    by filling a dense ``(n+1)**2`` square, so ``n`` whose square would
-    exceed 1 GiB (n > 11584) is refused before anything is allocated.  A grading so steep
-    that the first offsets underflow to zero-width cells is refused too.
+    transformed-coordinate grading formula.  A weighted quadrature table
+    is summed in a dense ``(n+1)**2`` square before it is packed, so ``n``
+    whose square would exceed 1 GiB (n > 11584) is refused before anything
+    is allocated.  A grading so steep that the first offsets underflow to
+    zero-width cells is refused too.
     """
     a = float(a)
     T = float(T)

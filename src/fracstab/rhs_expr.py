@@ -46,6 +46,7 @@ __all__ = [
     "evaluate",
     "to_source",
     "free_variables",
+    "MAX_DEPTH",
 ]
 
 
@@ -81,6 +82,14 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 
 _VARIABLES = ("t", "y", "d")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+
+#: Most levels an expression may nest: ``y`` is one, and each parenthesis,
+#: call, minus sign or power around it adds one, as does each operator of
+#: a chain such as ``y + y + y`` to the tree.  Parsing takes up to six
+#: Python frames a level and each walk of a tree (``evaluate``,
+#: ``to_source``, ``free_variables``) up to two, so deeper input is refused
+#: well before the default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class _Rule(NamedTuple):
@@ -159,6 +168,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.parameters = parameters
+        self.depth = 0  # active unary levels, which every recursion passes
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -173,6 +183,10 @@ class _Parser:
         if kind != "op" or text != symbol:
             raise ParseError(self.src, offset, reason)
         self.advance()
+
+    def check_depth(self, depth: int) -> None:
+        if depth > MAX_DEPTH:
+            raise ParseError(self.src, self.peek()[2], f"nested deeper than {MAX_DEPTH} levels")
 
     def at_op(self, *symbols: str) -> bool:
         kind, text, _ = self.peek()
@@ -190,6 +204,7 @@ class _Parser:
         while self.at_op("+", "-"):
             _, op, _ = self.advance()
             node = BinOp(op, node, self.product())
+        self.check_depth(_tree_depth(node))
         return node
 
     def product(self) -> Expr:
@@ -200,10 +215,15 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
+        self.depth += 1
+        self.check_depth(self.depth)
         if self.at_op("-"):
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -299,6 +319,23 @@ def parse_expression(
     if not src.strip():
         raise ParseError(src, 0, "empty expression")
     return _Parser(src, parameters).parse()
+
+
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    return node.args if isinstance(node, Call) else ()
+
+
+def _tree_depth(expr: Expr) -> int:
+    """The number of levels of ``expr``'s tree, counted without recursion."""
+    depth, level = 0, [expr]
+    while level:
+        depth += 1
+        level = [child for node in level for child in _children(node)]
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +447,4 @@ def free_variables(expr: Expr) -> frozenset[str]:
     """The set of variable names that occur in ``expr``."""
     if isinstance(expr, Var):
         return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return free_variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return free_variables(expr.left) | free_variables(expr.right)
-    if isinstance(expr, Call):
-        out: frozenset[str] = frozenset()
-        for a in expr.args:
-            out |= free_variables(a)
-        return out
-    return frozenset()
+    return frozenset().union(*map(free_variables, _children(expr)))

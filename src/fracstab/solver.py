@@ -235,22 +235,22 @@ def picard_solve(
             vals = vals + forcing[1:]
         return _lift_weighted(vals, dxw, mesh)
 
-    # evaluate reports what overflows in the rhs; a step that overflows
-    # elsewhere comes back non-finite and ends the iteration
+    # evaluate reports what overflows in the rhs; a step or an integral that
+    # overflows elsewhere ends the iteration
     with np.errstate(over="ignore", invalid="ignore"):
         g_hat = rhs_step(np.full(mesh.n + 1, pref), np.zeros(mesh.n + 1))
         if not np.all(np.isfinite(g_hat)):
             raise NonConvergenceError(0, math.inf)
         norms: list[float] = []
         for iteration in range(1, max_iter + 1):
-            g_next = rhs_step(_reconstruct_y(op, mesh, g_hat, w, pref), g_hat)
+            g_next = rhs_step(_reconstruct_y(op, mesh, g_hat, w, pref, iteration), g_hat)
             if not np.all(np.isfinite(g_next)):
                 raise NonConvergenceError(iteration, math.inf)
             update = float(np.max(np.abs(g_next - g_hat)))
             norms.append(update)
             g_hat = g_next
             if update <= tol:
-                y_hat = _reconstruct_y(op, mesh, g_hat, w, pref)
+                y_hat = _reconstruct_y(op, mesh, g_hat, w, pref, iteration)
                 return Solution(
                     g=GridFunction(mesh, g_hat, w),
                     y=GridFunction(mesh, y_hat, w),
@@ -266,17 +266,24 @@ def _reconstruct_y(
     g_hat: np.ndarray,
     w: float,
     pref: float,
+    iteration: int,
 ) -> np.ndarray:
     """Stored values of y = prefactor + I^alpha g, in the problem's weighting.
 
     The integral of weighted g comes back plain, or weighted with a deeper
     exponent when alpha + gamma < 1; scaling by dx**(w - its exponent)
     brings it to weight w.  The stored value at t = a is the prefactor
-    limit y_a / Gamma(gamma).
+    limit y_a / Gamma(gamma).  An integral or a y beyond double precision
+    ends Picard sweep ``iteration`` without convergence.
     """
-    integral = op.apply(GridFunction(mesh, g_hat, w))
+    try:
+        integral = op.apply(GridFunction(mesh, g_hat, w))
+    except ContractError:  # the only one here: apply refuses a non-finite integral
+        raise NonConvergenceError(iteration, math.inf) from None
     out = pref + np.power(mesh.offsets, w - integral.weight_exp) * integral.values
     out[0] = pref
+    if not np.all(np.isfinite(out)):
+        raise NonConvergenceError(iteration, math.inf)
     return out
 
 

@@ -183,7 +183,7 @@ class PerturbationSpec:
     Every generated forcing stays within epsilon (plain) or epsilon times
     the comparison function (weighted) at all nodes.  ``random_bounded``
     draws nodewise uniform values and applies one smoothing pass; the
-    seed makes each trial reproducible.
+    seed, a non-negative integer, makes each trial reproducible.
     """
 
     epsilon: float
@@ -200,6 +200,8 @@ class PerturbationSpec:
             )
         if self.trials < 1:
             raise DomainError(f"need at least one trial, got {self.trials!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from fracstab.cli import (
 )
 from fracstab.errors import SchemaError
 from fracstab.psi_space import PSI_KINDS, build_mesh, default_grading
+from fracstab.rhs_expr import MAX_DEPTH
 from fracstab.solver import certify_unique, picard_solve
 
 from conftest import PROBLEMS, ROOT
@@ -90,6 +91,33 @@ def test_document_must_be_valid_json(tmp_path):
     with pytest.raises(SchemaError) as info:
         load_problem(str(path))
     assert info.value.key == "document"
+
+
+@pytest.mark.parametrize(
+    "key,name,digits",
+    # 1 and 400 zeros lies beyond double range; 5000 digits pass Python's
+    # integer string conversion limit, which json.loads enforces
+    [("T", "T", 400), ("parameters.lam", "lam", 400), ("document", "T", 5000)],
+)
+def test_numbers_json_cannot_hold_as_doubles_are_refused(capsys, tmp_path, key, name, digits):
+    text = json.dumps(mutate(T=0, parameters={"lam": 0}))
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace(f'"{name}": 0', f'"{name}": 1' + "0" * digits))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "not valid JSON: " if key == "document" else "must be finite\n"
+    assert captured.err.startswith(f"error: key '{key}': {reason}")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_document_nested_past_the_recursion_limit_is_refused(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: key 'document': not valid JSON: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_document_must_be_utf8(capsys, tmp_path):
@@ -481,6 +509,13 @@ OVERFLOWS = [
     (mutate(y_a=1e308, rhs="y"), "solve", 3, "error: no convergence after 1 iterations"),
     (mutate(beta=0.0, y_a=1e308, rhs="y"), "solve", 3, "error: no convergence after 0 iterations"),
     (mutate(beta=0.0, T=1e300, rhs="y"), "solve", 3, "error: no convergence after"),
+    # so does an integral, or the y it makes, that overflows, for either command
+    (mutate(T=1e20, rhs="1e300 + 0*y", lipschitz={"k": 0.0, "l": 0.0}), "solve", 3,
+     "error: no convergence after 1 iterations"),
+    (mutate(T=1e20, rhs="1e300 + 0*y", lipschitz={"k": 0.0, "l": 0.0}), "perturb", 3,
+     "error: no convergence after 1 iterations"),
+    (mutate(y_a=1.5e308, rhs="1e308 + 0*t"), "solve", 3,
+     "error: no convergence after 1 iterations"),
 ]
 
 
@@ -663,6 +698,48 @@ def test_perturb_seed_chooses_the_trials(capsys, tmp_path):
     default, seeded = seeds(outs[0]), seeds(outs[1])
     assert len(default) == len(seeded) == 3
     assert all(a != b for a, b in zip(default, seeded))
+
+
+def test_perturb_refuses_a_negative_seed(capsys):
+    args = ["perturb", str(PROBLEMS / "example1.json"), "--n", "32", "--trials", "2"]
+    assert main(args + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
+def _nested(shape: str, levels: int, leaf: str) -> str:
+    """An expression ``levels`` deep: ``leaf`` in parentheses, or a sum of ``leaf``s."""
+    if shape == "parentheses":
+        return "(" * (levels - 1) + leaf + ")" * (levels - 1)
+    return " + ".join([leaf] * (levels - 1))
+
+
+@pytest.mark.parametrize("shape", ["parentheses", "sum"])
+def test_expressions_nest_up_to_the_bound(capsys, tmp_path, shape):
+    path = tmp_path / "nested.json"
+    lipschitz = {"k": 0.5, "l": 0.0}
+    path.write_text(json.dumps(mutate(rhs=_nested(shape, MAX_DEPTH, "0.005*y"))))
+    assert main(["solve", str(path), "--n", "32"]) == 0
+    path.write_text(json.dumps(
+        mutate(phi=_nested(shape, MAX_DEPTH, "0.01*t"), lipschitz=lipschitz)
+    ))
+    assert main(["perturb", str(path), "--n", "32", "--trials", "1"]) == 0
+    capsys.readouterr()
+    # one level past the bound, and as deep as a parse once ran out of stack
+    for levels in (MAX_DEPTH + 1, 601):
+        for key, doc in (
+            ("rhs", mutate(rhs=_nested(shape, levels, "0.005*y"))),
+            ("phi", mutate(phi=_nested(shape, levels, "0.01*t"), lipschitz=lipschitz)),
+        ):
+            path.write_text(json.dumps(doc))
+            assert main(["solve", str(path), "--n", "32"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"error: key '{key}': nested deeper than {MAX_DEPTH} levels (offset "
+            )
+            assert len(captured.err.splitlines()) == 1
 
 
 def test_perturb_bound_violation_exits_five(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Expression grammar: parsing, precedence, evaluation, round-trips."""
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from fracstab import rhs_expr
 from fracstab.errors import EvaluationError, ParseError
 from fracstab.rhs_expr import (
+    MAX_DEPTH,
     RESERVED_NAMES,
     evaluate,
     free_variables,
@@ -172,6 +175,48 @@ def test_free_variables_under_unary_minus():
 def test_bad_index_for_e_is_a_parse_error():
     with pytest.raises(ParseError, match="bad index for E"):
         parse_expression("E(1/0, t)")
+
+
+# one level of each construct around a leaf: ``MAX_DEPTH - 1`` of them
+# make an expression exactly ``MAX_DEPTH`` levels deep
+NESTINGS = {
+    "parentheses": lambda k: "(" * k + "y" + ")" * k,
+    "calls": lambda k: "sin(" * k + "y" + ")" * k,
+    "signs": lambda k: "-" * k + "y",
+    "powers": lambda k: "^".join(["y"] * (k + 1)),
+    "sum": lambda k: "+".join(["y"] * (k + 1)),
+    "product": lambda k: "*".join(["y"] * (k + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_is_bounded(shape):
+    deepest = NESTINGS[shape](MAX_DEPTH - 1)
+    expr = parse_expression(deepest)
+    # parsing and every walk of the tree take at most seven frames a level
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 7 * MAX_DEPTH)
+    try:
+        parse_expression(deepest)
+        free_variables(expr)
+        to_source(expr)
+        evaluate(expr, np.full(3, 0.5), np.full(3, 0.5), np.zeros(3))
+    finally:
+        sys.setrecursionlimit(saved)
+    for levels in (MAX_DEPTH, 10 * MAX_DEPTH):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse_expression(NESTINGS[shape](levels))
+
+
+def test_nesting_refusal_points_at_the_level_past_the_bound():
+    with pytest.raises(ParseError) as info:
+        parse_expression("(" * MAX_DEPTH + "y" + ")" * MAX_DEPTH)
+    assert info.value.offset == MAX_DEPTH
+    # a chain is measured once it ends, and E's index before it is folded
+    index = "E(" + "+".join(["0.001"] * (MAX_DEPTH + 1))
+    with pytest.raises(ParseError) as info:
+        parse_expression(index + ", t)")
+    assert info.value.offset == len(index)
 
 
 def test_to_source_keeps_string_and_value_of_negative_parameters():

@@ -183,6 +183,12 @@ def test_perturbation_spec_validation():
     }
 
 
+def test_perturbation_spec_refuses_a_negative_seed():
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        PerturbationSpec(epsilon=1e-3, seed=-1)
+    assert PerturbationSpec(epsilon=1e-3, seed=0).seed == 0
+
+
 def test_zero_shape_is_exact():
     pf = load_example(1)
     cert = StabilityCertificate.ulam_hyers(pf.problem)
