@@ -18,9 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 from .errors import (
     DomainError,
@@ -195,12 +199,29 @@ def _num15(x: float) -> str:
     return format(x, ".15g")
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The stream a command writes its CSV to: the file ``path``, created
+    here, or stdout, flushed at the end so that a closed pipe or a full
+    disk fails the write itself."""
+    if path is None:
+        yield sys.stdout
+        sys.stdout.flush()
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+
+
+def _drop_unwritable_stdout() -> None:
+    """Point stdout at the null device when its pending bytes cannot be
+    written (a closed pipe, a full disk), so that the interpreter's last
+    flush does not report the failure a second time."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _note(message: str) -> None:
@@ -264,27 +285,51 @@ def cmd_specfun(args) -> int:
     return 0
 
 
-def solution_to_csv(sol: Solution, p: CauchyProblem) -> str:
-    """Nodewise CSV of the solve.
+#: Rows that ``solution_to_csv`` formats, and writes, at a time.
+CSV_CHUNK_ROWS = 256
+
+
+def solution_to_csv(
+    sol: Solution, p: CauchyProblem, stream: TextIO | None = None
+) -> str | None:
+    """Nodewise CSV of the solve, written to ``stream`` chunk by chunk, or
+    returned whole when no stream is given.
 
     ``y_weighted`` is the stored representation; ``y`` is the plain value
     where it exists.  When the solution blows up at t = a the first row's
     ``g`` and ``y`` carry the finite weighted limits and ``limit_flag``
     is 1 there.
     """
+    chunks = _csv_chunks(sol, p)
+    if stream is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        stream.write(chunk)
+    return None
+
+
+def _csv_chunks(sol: Solution, p: CauchyProblem) -> Iterator[str]:
+    """The header, then ``CSV_CHUNK_ROWS`` rows at a time."""
     mesh = sol.y.mesh
     w = p.order.weight
-    g, y_weighted = sol.g.values.tolist(), sol.y.values.tolist()
-    y, flags = y_weighted, [0] * len(g)
-    if w > 0.0:
-        # Python's scalar power: numpy's array power differs in the last bit
-        scale = [x ** (-w) for x in mesh.offsets[1:].tolist()]
-        g = g[:1] + [v * s for v, s in zip(g[1:], scale)]
-        y = y[:1] + [v * s for v, s in zip(y[1:], scale)]
-        flags[0] = 1
-    row = "{:.15g},{:.15g},{:.15g},{:.15g},{:.15g},{}".format
-    rows = map(row, mesh.nodes.tolist(), mesh.psi_nodes.tolist(), g, y_weighted, y, flags)
-    return "t,psi_t,g,y_weighted,y,limit_flag\n" + "\n".join(rows) + "\n"
+    row = "{:.15g},{:.15g},{:.15g},{:.15g},{:.15g},{}\n".format
+    yield "t,psi_t,g,y_weighted,y,limit_flag\n"
+    for lo in range(0, mesh.n + 1, CSV_CHUNK_ROWS):
+        hi = lo + CSV_CHUNK_ROWS
+        g, y_weighted = sol.g.values[lo:hi].tolist(), sol.y.values[lo:hi].tolist()
+        y, flags = y_weighted, [0] * len(g)
+        if w > 0.0:
+            # the row at t = a keeps its weighted limits; the scale starts at node 1
+            first = 1 if lo == 0 else 0
+            # Python's scalar power: numpy's array power differs in the last bit
+            scale = [x ** (-w) for x in mesh.offsets[lo + first:hi].tolist()]
+            g = g[:first] + [v * s for v, s in zip(g[first:], scale)]
+            y = y[:first] + [v * s for v, s in zip(y[first:], scale)]
+            flags[:first] = [1] * first
+        yield "".join(map(
+            row, mesh.nodes[lo:hi].tolist(), mesh.psi_nodes[lo:hi].tolist(),
+            g, y_weighted, y, flags,
+        ))
 
 
 def cmd_solve(args) -> int:
@@ -293,7 +338,8 @@ def cmd_solve(args) -> int:
     mesh = build_mesh(p.psi, p.a, p.T, args.n, _grading_from(args.grade, p.order))
     p, source = _usable_lipschitz(p)
     sol = picard_solve(p, mesh, max_iter=args.max_iter)
-    _write_out(solution_to_csv(sol, p), args.out)
+    with _output(args.out) as stream:
+        solution_to_csv(sol, p, stream)
     update = sol.update_norms[-1]
     _note(f"iterations: {sol.iterations}")
     _note(f"final update norm: {_num15(update)}")
@@ -360,6 +406,11 @@ def cmd_certify(args) -> int:
 
 def cmd_perturb(args) -> int:
     pf = load_problem(args.problem)
+    # the options are refused before any numeric work
+    spec = PerturbationSpec(
+        epsilon=args.epsilon, shape=args.shape, trials=args.trials, seed=args.seed
+    )
+    spec.check_shape(pf.phi)
     p, source = _usable_lipschitz(pf.problem)
     if source is None:
         _note("error: no usable Lipschitz constants; declare them in the file")
@@ -374,11 +425,9 @@ def cmd_perturb(args) -> int:
         cert = StabilityCertificate.ulam_hyers_rassias(p, pf.phi, lam_used)
     else:
         cert = StabilityCertificate.ulam_hyers(p)
-    spec = PerturbationSpec(
-        epsilon=args.epsilon, shape=args.shape, trials=args.trials, seed=args.seed
-    )
     report = perturb_and_check(p, cert, spec, mesh)
-    _write_out(report_to_csv(report), args.out)
+    with _output(args.out) as stream:
+        stream.write(report_to_csv(report))
     _note(
         f"{cert.kind}: c_f={_num15(cert.c_f)} max_ratio={_num15(report.max_ratio)} "
         f"verdict={'pass' if report.passed else 'fail'}"
@@ -420,7 +469,8 @@ def cmd_verify_ops(args) -> int:
         lines.append("family,check,slope")
         for (fam, check), slope in sorted(report.slopes.items()):
             lines.append(f"{fam},{check},{_num15(slope)}")
-        _write_out("\n".join(lines) + "\n", args.report)
+        with _output(args.report) as stream:
+            stream.write("\n".join(lines) + "\n")
     return 0 if report.passed else 5
 
 
@@ -486,12 +536,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
+        return code
     except NonConvergenceError as err:
         _note(f"error: {err}")
         return 3
     except (FracstabError, OSError) as err:
         _note(f"error: {err}")
+        _drop_unwritable_stdout()
         return 2
 
 

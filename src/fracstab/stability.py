@@ -203,6 +203,17 @@ class PerturbationSpec:
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed!r}")
 
+    def check_shape(self, phi: Expr | None) -> None:
+        """Refuse a shape that the certificate's comparison function
+        ``phi`` (``None`` for a plain certificate) cannot bound."""
+        if phi is not None and self.shape == "constant":
+            raise ContractError(
+                "constant shape breaks the weighted envelope near t = a; "
+                "use phi_scaled or random_bounded"
+            )
+        if phi is None and self.shape == "phi_scaled":
+            raise ContractError("phi_scaled shape needs a comparison function")
+
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -294,21 +305,14 @@ def perturb_and_check(
     doubled level (tried once per call) cannot be built, is marked "error"
     and fails the report.
     """
-    weighted = cert.phi is not None
-    if weighted and spec.shape == "constant":
-        raise ContractError(
-            "constant shape breaks the weighted envelope near t = a; "
-            "use phi_scaled or random_bounded"
-        )
-    if not weighted and spec.shape == "phi_scaled":
-        raise ContractError("phi_scaled shape needs a comparison function")
+    spec.check_shape(cert.phi)
 
     def build_level(on: Mesh, op: FracIntegralOperator | None = None) -> _Level:
         op = op if op is not None else FracIntegralOperator(on, p.order.alpha)
         base = picard_solve(p, on, operator=op)
         envelope = (
             spec.epsilon * _phi_values(cert.phi, on)
-            if weighted
+            if cert.phi is not None
             else np.full(on.n + 1, spec.epsilon)
         )
         return _Level(on, op, base, envelope)

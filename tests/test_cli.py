@@ -1,24 +1,27 @@
 """Problem-file loading, subcommand behavior, and exit codes."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
 
 from fracstab import fraccalc
 from fracstab.cli import (
-    _num15, _usable_lipschitz, load_problem, main, problem_from_dict,
+    CSV_CHUNK_ROWS, _num15, _usable_lipschitz, load_problem, main, problem_from_dict,
+    solution_to_csv,
 )
 from fracstab.errors import SchemaError
 from fracstab.psi_space import PSI_KINDS, build_mesh, default_grading
 from fracstab.rhs_expr import MAX_DEPTH
 from fracstab.solver import certify_unique, picard_solve
 
-from conftest import PROBLEMS, ROOT
+from conftest import PROBLEMS, ROOT, load_example
 
 BASE_DOC = {
     "psi": {"kind": "identity"},
@@ -405,6 +408,118 @@ def test_solve_too_steep_grading_exits_two():
     assert "Warning" not in proc.stderr
 
 
+def _cli_env(**extra) -> dict:
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def _solved(index: int, n: int):
+    p = load_example(index).problem
+    return picard_solve(p, build_mesh(p.psi, p.a, p.T, n, default_grading(p.order))), p
+
+
+def _csv_in_one_piece(sol, p) -> str:
+    """The solve's CSV formatted from whole arrays, without chunks."""
+    mesh, w = sol.y.mesh, p.order.weight
+    g, y_weighted = sol.g.values.tolist(), sol.y.values.tolist()
+    y, flags = y_weighted, [0] * len(g)
+    if w > 0.0:
+        scale = [x ** (-w) for x in mesh.offsets[1:].tolist()]
+        g = g[:1] + [v * s for v, s in zip(g[1:], scale)]
+        y = y[:1] + [v * s for v, s in zip(y[1:], scale)]
+        flags[0] = 1
+    rows = map("{:.15g},{:.15g},{:.15g},{:.15g},{:.15g},{}".format,
+               mesh.nodes.tolist(), mesh.psi_nodes.tolist(), g, y_weighted, y, flags)
+    return "t,psi_t,g,y_weighted,y,limit_flag\n" + "\n".join(rows) + "\n"
+
+
+CHUNK_SIZES = [1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2048]
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("index", [7, 4, 5])  # plain, then two weighted problems
+def test_streamed_csv_equals_the_returned_string(capsys, tmp_path, index, n):
+    sol, p = _solved(index, n)
+    text = solution_to_csv(sol, p)
+    stream = io.StringIO()
+    assert solution_to_csv(sol, p, stream) is None
+    assert stream.getvalue() == text == _csv_in_one_piece(sol, p)
+    rows = text.splitlines()[1:]
+    assert len(rows) == n + 1
+    # the row at t = a comes once, and only a weighted problem flags it
+    flags = [row.rsplit(",", 1)[1] for row in rows]
+    assert flags == ["1" if p.order.weight > 0.0 else "0"] + ["0"] * n
+
+    args = ["solve", str(PROBLEMS / f"example{index}.json"), "--n", str(n)]
+    out = tmp_path / "sol.csv"
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert stdout == out.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("index", [7, 5])
+def test_small_chunks_keep_the_bytes(monkeypatch, index, chunk):
+    # every row boundary is a chunk boundary, or every third one is
+    sol, p = _solved(index, 10)
+    expected = _csv_in_one_piece(sol, p)
+    monkeypatch.setattr("fracstab.cli.CSV_CHUNK_ROWS", chunk)
+    assert solution_to_csv(sol, p) == expected
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_csv_writing_memory_is_bounded():
+    # tracemalloc peak of writing an n = 2048 solution to a discarding stream:
+    # 712 KB (example 7) and 844 KB (example 5) when the whole text was built
+    # first; 119 KB and 133 KB in chunks of 256 rows, at any n
+    for index in (7, 5):
+        sol, p = _solved(index, 2048)
+        tracemalloc.start()
+        try:
+            solution_to_csv(sol, p, _Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 350_000, (index, peak)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("sink", ["closed pipe", "full device"])
+@pytest.mark.parametrize("n", [4, 2048])
+def test_lost_output_exits_with_one_error_line(sink, unbuffered, n):
+    # a closed pipe fails the first write, or the interpreter's last flush
+    # when the rows fit in stdout's buffer; either is one error line
+    env = _cli_env(PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "fracstab", "solve",
+            str(PROBLEMS / "example7.json"), "--n", str(n)]
+    if sink == "closed pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        error = "error: [Errno 32] Broken pipe"
+    else:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=60)
+        error = "error: [Errno 28] No space left on device"
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == error + "\n"
+
+
 def _without_constants(tmp_path, **changes):
     doc = json.loads((PROBLEMS / "example1.json").read_text())
     del doc["lipschitz"]
@@ -706,6 +821,28 @@ def test_perturb_refuses_a_negative_seed(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("option,error", [
+    (["--seed", "-1"], "error: seed must be >= 0, got -1"),
+    (["--epsilon", "0"], "error: epsilon must be positive, got 0.0"),
+    (["--trials", "0"], "error: need at least one trial, got 0"),
+    (["--shape", "constant"], "error: constant shape breaks the weighted envelope "
+                              "near t = a; use phi_scaled or random_bounded"),
+])
+def test_perturb_refuses_its_options_before_any_numeric_work(tmp_path, option, error):
+    # example 5 is weighted: its lambda_phi estimate would build and store
+    # an n = 2048 table, which a refused request must not do
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracstab", "perturb",
+         str(PROBLEMS / "example5.json"), "--n", "2048", *option],
+        capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == error + "\n"
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 
 def _nested(shape: str, levels: int, leaf: str) -> str:

@@ -1,5 +1,5 @@
 """The comparison script behind `make outputs-diff`, the table
-benchmark's child environment, and the line tracer."""
+benchmark's child environment and pairwise summary, and the line tracer."""
 
 import importlib.util
 import json
@@ -68,17 +68,33 @@ def test_other_changes_fail(tmp_path, changes, line):
     assert proc.stdout == line.format(a=a) + "\n"
 
 
-def test_bench_tables_children_read_cached_bytecode(monkeypatch, tmp_path):
+def _bench_tables():
     spec = importlib.util.spec_from_file_location(
         "bench_tables", ROOT / "tools" / "bench_tables.py"
     )
     bench_tables = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_tables)
+    return bench_tables
+
+
+def test_bench_tables_children_read_cached_bytecode(monkeypatch, tmp_path):
+    bench_tables = _bench_tables()
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     env = bench_tables._env(ROOT, tmp_path)
     assert "PYTHONDONTWRITEBYTECODE" not in env
     assert env["PYTHONPATH"] == str(ROOT / "src")
     assert env["XDG_CACHE_HOME"] == str(tmp_path)
+
+
+def test_bench_tables_compares_peaks_pair_by_pair():
+    bench_tables = _bench_tables()
+    base = bench_tables._summary([0.30, 0.20, 0.25], [47.2, 47.0, 47.1])
+    change = bench_tables._summary([0.25, 0.25, 0.20], [46.3, 47.1, 46.2])
+    assert base["runs_rss_mb"] == [47.2, 47.0, 47.1] and base["peak_rss_mb"] == 47.2
+    ratios = bench_tables._ratios({"solve": base}, {"solve": change})["solve"]
+    assert ratios["change_won"] == "2/3"
+    assert ratios["median_rss_mb"] == {"baseline": 47.1, "change": 46.3}
+    assert ratios["change_rss_lower"] == "2/3"
 
 
 

@@ -12,10 +12,12 @@ Every number is the median wall time of fresh Python processes:
   (``XDG_CACHE_HOME``); a warm one the tree's own store, filled by an
   untimed run of each request first.
 
-Each entry also records the peak RSS of its processes.  With
-``--baseline DIR`` (a checkout of another commit) both trees are measured
-on the same host, back to back per number and in alternating order, and
-the JSON gains the baseline/change ratios of every number.  Children run
+Each entry also records the peak RSS of every process (``runs_rss_mb``,
+next to ``runs_s``) and their maximum.  With ``--baseline DIR`` (a checkout
+of another commit) both trees are measured on the same host, back to back
+per number and in alternating order, and the JSON gains, per number, the
+baseline/change time ratios, each side's median peak RSS and the number of
+pairs in which the change's peak was the lower.  Children run
 with one BLAS and OpenMP thread.  Each tree's ``src`` is byte-compiled
 first (``python -m compileall -q src``) and the children run without
 ``PYTHONDONTWRITEBYTECODE``, so every timed process imports current
@@ -116,7 +118,8 @@ def _sha(tree: Path) -> str:
 
 
 def _summary(runs: list[float], rss: list[float]) -> dict:
-    return {"median_s": statistics.median(runs), "runs_s": runs, "peak_rss_mb": max(rss)}
+    return {"median_s": statistics.median(runs), "runs_s": runs,
+            "peak_rss_mb": max(rss), "runs_rss_mb": rss}
 
 
 def _jobs() -> list[tuple[tuple[str, ...], list[str]]]:
@@ -164,13 +167,20 @@ def measure(trees: dict[str, Path], repeats: int, scratch: Path) -> dict:
 
 def _ratios(base: dict, change: dict) -> dict:
     """Baseline over change per job: the ratio of the medians, the median of
-    the per-repeat ratios and how many repeats the change won."""
+    the per-repeat ratios and how many repeats the change won; and the
+    median peak RSS of each side with how many repeats the change's was lower."""
     if "median_s" in base:
         pairs = [b / c for b, c in zip(base["runs_s"], change["runs_s"])]
+        lower = [c < b for b, c in zip(base["runs_rss_mb"], change["runs_rss_mb"])]
         return {
             "of_medians": round(base["median_s"] / change["median_s"], 3),
             "median_of_pairs": round(statistics.median(pairs), 3),
             "change_won": f"{sum(r > 1.0 for r in pairs)}/{len(pairs)}",
+            "median_rss_mb": {
+                "baseline": round(statistics.median(base["runs_rss_mb"]), 2),
+                "change": round(statistics.median(change["runs_rss_mb"]), 2),
+            },
+            "change_rss_lower": f"{sum(lower)}/{len(lower)}",
         }
     return {k: _ratios(base[k], change[k]) for k in base}
 
