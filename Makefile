@@ -25,9 +25,11 @@ ops:
 # $(OUT)/example<i>-estimated.json), which takes the estimated-constants
 # path.  Examples 1 and 7 also run perturb with understated constants (k/50,
 # l = 0; inputs in $(OUT)/example<i>-understated.json), so every trial is
-# re-run on the doubled mesh.  The requests share a private table store
-# (XDG_CACHE_HOME), a fresh empty one removed afterwards, or STORE=dir kept
-# for the next run, so a run with a filled store compares too.
+# re-run on the doubled mesh.  One solve and one verify-ops also write their
+# CSV through --out and --report, to $(OUT)/<request>.csv.  The requests
+# share a private table store (XDG_CACHE_HOME), a fresh empty one removed
+# afterwards, or STORE=dir kept for the next run, so a run with a filled
+# store compares too.
 # Usage: make outputs OUT=dir [STORE=dir]
 outputs:
 	@test -n "$(OUT)" || { echo "usage: make outputs OUT=dir [STORE=dir]" >&2; exit 2; }
@@ -56,8 +58,10 @@ outputs:
 	done; \
 	run perturb1-understated perturb $(OUT)/example1-understated.json --n 32 --trials 3 --shape constant; \
 	run perturb7-understated perturb $(OUT)/example7-understated.json --n 32 --trials 3 --shape phi_scaled; \
+	run solve5-n256-out solve problems/example5.json --n 256 --out $(OUT)/solve5-n256-out.csv; \
 	run verify-ops verify-ops; \
-	run verify-ops-64-128 verify-ops --n-list 64,128
+	run verify-ops-64-128 verify-ops --n-list 64,128; \
+	run verify-ops-64-128-report verify-ops --n-list 64,128 --report $(OUT)/verify-ops-64-128-report.csv
 
 # Compare two `make outputs` directories and show that only numbers moved
 # (see tools/outputs_diff.py).  Usage: make outputs-diff A=dir B=dir
@@ -85,9 +89,10 @@ bench-smoke:
 	$(PY) tools/trace_smoke.py
 
 # The gate a change passes against a checkout of its parent: tier-1, the
-# benchmark's smoke tests, then `make outputs` in both trees, first with an
-# empty and then with the filled table store, each pair compared with
-# `diff -r`.  Exits non-zero on any failure or difference.
+# benchmark's smoke tests, then this Makefile's `outputs` recipe in both
+# trees, so both answer the same requests, first with an empty and then with
+# the filled table store, each pair compared with `diff -r`.  Exits non-zero
+# on any failure or difference.
 # Usage: make check BASE=dir
 check:
 	@test -n "$(BASE)" || { echo "usage: make check BASE=dir" >&2; exit 2; }
@@ -95,7 +100,8 @@ check:
 	$(MAKE) bench-smoke
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	for run in empty filled; do \
-		$(MAKE) -C "$(abspath $(BASE))" outputs OUT=$$tmp/base-$$run STORE=$$tmp/base-store && \
+		$(MAKE) -C "$(abspath $(BASE))" -f "$(abspath $(firstword $(MAKEFILE_LIST)))" outputs \
+			OUT=$$tmp/base-$$run STORE=$$tmp/base-store && \
 		$(MAKE) outputs OUT=$$tmp/change-$$run STORE=$$tmp/change-store && \
 		diff -r $$tmp/base-$$run $$tmp/change-$$run || exit 1; \
 		echo "make outputs, $$run store: no difference"; \

@@ -16,6 +16,7 @@ is byte-deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -53,6 +54,10 @@ from .stability import (
     perturb_and_check,
     report_to_csv,
 )
+
+# numpy after the package's own modules, which load it already, so that the
+# import order, and with it each request's peak memory, stays as it was
+import numpy as np
 
 __all__ = ["ProblemFile", "load_problem", "problem_from_dict", "main"]
 
@@ -289,47 +294,32 @@ def cmd_specfun(args) -> int:
 CSV_CHUNK_ROWS = 256
 
 
-def solution_to_csv(
-    sol: Solution, p: CauchyProblem, stream: TextIO | None = None
-) -> str | None:
-    """Nodewise CSV of the solve, written to ``stream`` chunk by chunk, or
-    returned whole when no stream is given.
+def solution_to_csv(sol: Solution, p: CauchyProblem, stream: TextIO) -> None:
+    """Nodewise CSV of the solve, written to ``stream`` ``CSV_CHUNK_ROWS``
+    rows at a time.
 
     ``y_weighted`` is the stored representation; ``y`` is the plain value
     where it exists.  When the solution blows up at t = a the first row's
     ``g`` and ``y`` carry the finite weighted limits and ``limit_flag``
     is 1 there.
     """
-    chunks = _csv_chunks(sol, p)
-    if stream is None:
-        return "".join(chunks)
-    for chunk in chunks:
-        stream.write(chunk)
-    return None
-
-
-def _csv_chunks(sol: Solution, p: CauchyProblem) -> Iterator[str]:
-    """The header, then ``CSV_CHUNK_ROWS`` rows at a time."""
     mesh = sol.y.mesh
     w = p.order.weight
+    g, y_weighted = sol.g.values, sol.y.values
+    y, flags = y_weighted, "0" * (mesh.n + 1)  # limit_flag, one character a row
+    if w > 0.0:
+        # Python's scalar power: numpy's array power differs in the last bit;
+        # the scale is 1 at t = a, where the row keeps its weighted limits
+        powers = (x ** (-w) for x in map(float, mesh.offsets[1:]))
+        scale = np.fromiter(itertools.chain([1.0], powers), float, mesh.n + 1)
+        g, y = g * scale, y_weighted * scale
+        flags = "1" + "0" * mesh.n
+    columns = (mesh.nodes, mesh.psi_nodes, g, y_weighted, y)
     row = "{:.15g},{:.15g},{:.15g},{:.15g},{:.15g},{}\n".format
-    yield "t,psi_t,g,y_weighted,y,limit_flag\n"
+    stream.write("t,psi_t,g,y_weighted,y,limit_flag\n")
     for lo in range(0, mesh.n + 1, CSV_CHUNK_ROWS):
         hi = lo + CSV_CHUNK_ROWS
-        g, y_weighted = sol.g.values[lo:hi].tolist(), sol.y.values[lo:hi].tolist()
-        y, flags = y_weighted, [0] * len(g)
-        if w > 0.0:
-            # the row at t = a keeps its weighted limits; the scale starts at node 1
-            first = 1 if lo == 0 else 0
-            # Python's scalar power: numpy's array power differs in the last bit
-            scale = [x ** (-w) for x in mesh.offsets[lo + first:hi].tolist()]
-            g = g[:first] + [v * s for v, s in zip(g[first:], scale)]
-            y = y[:first] + [v * s for v, s in zip(y[first:], scale)]
-            flags[:first] = [1] * first
-        yield "".join(map(
-            row, mesh.nodes[lo:hi].tolist(), mesh.psi_nodes[lo:hi].tolist(),
-            g, y_weighted, y, flags,
-        ))
+        stream.write("".join(map(row, *(c[lo:hi].tolist() for c in columns), flags[lo:hi])))
 
 
 def cmd_solve(args) -> int:
@@ -460,17 +450,13 @@ def cmd_verify_ops(args) -> int:
     for failure in report.failures:
         print(f"FAIL: {failure}")
     if args.report is not None:
-        lines = ["family,check,n,residual"]
-        for row in report.rows:
-            lines.append(
-                f"{row.family},{row.check},{row.n},{_num15(row.residual)}"
-            )
-        lines.append("")
-        lines.append("family,check,slope")
-        for (fam, check), slope in sorted(report.slopes.items()):
-            lines.append(f"{fam},{check},{_num15(slope)}")
         with _output(args.report) as stream:
-            stream.write("\n".join(lines) + "\n")
+            stream.write("family,check,n,residual\n")
+            for row in report.rows:
+                stream.write(f"{row.family},{row.check},{row.n},{_num15(row.residual)}\n")
+            stream.write("\nfamily,check,slope\n")
+            for (fam, check), slope in sorted(report.slopes.items()):
+                stream.write(f"{fam},{check},{_num15(slope)}\n")
     return 0 if report.passed else 5
 
 

@@ -783,12 +783,12 @@ def hilfer_derivative(u: GridFunction, order: FracOrder) -> GridFunction:
             )
         if inner == 0.0:
             raise ContractError("weighted input needs a positive inner order")
+    if mesh.n < 2:
+        raise ContractError("derivative stencils need at least 3 nodes")
     if inner > 0.0:
         w1 = FracIntegralOperator(mesh, inner).apply(u).values
     else:
         w1 = u.values
-    if mesh.n < 2:
-        raise ContractError("derivative stencils need at least 3 nodes")
     d = np.gradient(w1, mesh.offsets, edge_order=2)
     if outer > 0.0:
         out = FracIntegralOperator(mesh, outer).apply(GridFunction(mesh, d, 0.0))
@@ -1039,14 +1039,18 @@ def run_operator_checks(
     g = order.gamma
     ga = order.alpha
 
+    # every family name and mesh is checked before the first table is built
+    meshes: list[tuple[str, list[Mesh]]] = []
     for fam in families:
         if fam not in _FAMILY_SETUPS:
             raise DomainError(f"unknown family {fam!r}")
         kind, rho, a, T = _FAMILY_SETUPS[fam]
-        psi = PsiMap(kind, rho)
+        meshes.append((fam, [build_mesh(PsiMap(kind, rho), a, T, n, grading) for n in n_list]))
+
+    for fam, fam_meshes in meshes:
         per_check: dict[str, list[float]] = {}
-        for n in n_list:
-            mesh = build_mesh(psi, a, T, n, grading)
+        for mesh in fam_meshes:
+            n = mesh.n
             dx = mesh.offsets
 
             def record(check: str, residual: float) -> None:

@@ -383,25 +383,23 @@ def perturb_and_check(
 
 def report_to_csv(report: PerturbationReport) -> str:
     """Deterministic CSV: one row per trial, then a key-value summary."""
-
-    def num(x: float) -> str:
-        return format(x, ".15g")
-
+    num = "{:.15g}".format
+    summary = {
+        "kind": report.kind,
+        "trials": len(report.rows),
+        "epsilon": num(report.epsilon),
+        "c_f": num(report.c_f),
+        "allowance": num(report.allowance),
+        "mesh_n": report.mesh_n,
+        "max_ratio": num(report.max_ratio),
+        "max_deviation": num(report.max_deviation),
+        "verdict": "pass" if report.passed else "fail",
+    }
     lines = ["trial,seed,shape,epsilon,deviation,bound,ratio,verdict"]
-    for r in report.rows:
-        lines.append(
-            f"{r.trial},{r.seed},{r.shape},{num(r.epsilon)},"
-            f"{num(r.deviation)},{num(r.bound)},{num(r.ratio)},{r.verdict}"
-        )
-    lines.append("")
-    lines.append("summary,value")
-    lines.append(f"kind,{report.kind}")
-    lines.append(f"trials,{len(report.rows)}")
-    lines.append(f"epsilon,{num(report.epsilon)}")
-    lines.append(f"c_f,{num(report.c_f)}")
-    lines.append(f"allowance,{num(report.allowance)}")
-    lines.append(f"mesh_n,{report.mesh_n}")
-    lines.append(f"max_ratio,{num(report.max_ratio)}")
-    lines.append(f"max_deviation,{num(report.max_deviation)}")
-    lines.append(f"verdict,{'pass' if report.passed else 'fail'}")
+    lines += [
+        f"{r.trial},{r.seed},{r.shape},{num(r.epsilon)},"
+        f"{num(r.deviation)},{num(r.bound)},{num(r.ratio)},{r.verdict}"
+        for r in report.rows
+    ]
+    lines += ["", "summary,value", *(f"{name},{value}" for name, value in summary.items())]
     return "\n".join(lines) + "\n"

@@ -421,6 +421,13 @@ def _solved(index: int, n: int):
     return picard_solve(p, build_mesh(p.psi, p.a, p.T, n, default_grading(p.order))), p
 
 
+def _csv(sol, p) -> str:
+    """The solve's CSV as ``solution_to_csv`` writes it to a stream."""
+    stream = io.StringIO()
+    solution_to_csv(sol, p, stream)
+    return stream.getvalue()
+
+
 def _csv_in_one_piece(sol, p) -> str:
     """The solve's CSV formatted from whole arrays, without chunks."""
     mesh, w = sol.y.mesh, p.order.weight
@@ -443,10 +450,8 @@ CHUNK_SIZES = [1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 204
 @pytest.mark.parametrize("index", [7, 4, 5])  # plain, then two weighted problems
 def test_streamed_csv_equals_the_returned_string(capsys, tmp_path, index, n):
     sol, p = _solved(index, n)
-    text = solution_to_csv(sol, p)
-    stream = io.StringIO()
-    assert solution_to_csv(sol, p, stream) is None
-    assert stream.getvalue() == text == _csv_in_one_piece(sol, p)
+    text = _csv(sol, p)
+    assert text == _csv_in_one_piece(sol, p)
     rows = text.splitlines()[1:]
     assert len(rows) == n + 1
     # the row at t = a comes once, and only a weighted problem flags it
@@ -469,7 +474,7 @@ def test_small_chunks_keep_the_bytes(monkeypatch, index, chunk):
     sol, p = _solved(index, 10)
     expected = _csv_in_one_piece(sol, p)
     monkeypatch.setattr("fracstab.cli.CSV_CHUNK_ROWS", chunk)
-    assert solution_to_csv(sol, p) == expected
+    assert _csv(sol, p) == expected
 
 
 class _Discard:
@@ -480,7 +485,9 @@ class _Discard:
 def test_csv_writing_memory_is_bounded():
     # tracemalloc peak of writing an n = 2048 solution to a discarding stream:
     # 712 KB (example 7) and 844 KB (example 5) when the whole text was built
-    # first; 119 KB and 133 KB in chunks of 256 rows, at any n
+    # first; 103 KB and 151 KB in chunks of 256 rows from columns decided
+    # once, whose scaled copies add about 25 bytes per node (305 KB for
+    # example 5 at n = 8192)
     for index in (7, 5):
         sol, p = _solved(index, 2048)
         tracemalloc.start()
@@ -944,6 +951,13 @@ def test_verify_ops_command(capsys, tmp_path):
     assert text.startswith("family,check,n,residual\n")
     assert "family,check,slope" in text
     assert "logarithm" in text
+    # one row per check, then the slopes in sorted order
+    checks = fraccalc.run_operator_checks(families=("logarithm",), n_list=(32, 64))
+    rows = [f"{r.family},{r.check},{r.n},{_num15(r.residual)}" for r in checks.rows]
+    slopes = [f"{f},{c},{_num15(s)}" for (f, c), s in sorted(checks.slopes.items())]
+    assert text == "\n".join(
+        ["family,check,n,residual", *rows, "", "family,check,slope", *slopes]
+    ) + "\n"
 
 
 def test_verify_ops_reports_a_failed_ceiling(capsys, monkeypatch):
@@ -954,6 +968,21 @@ def test_verify_ops_reports_a_failed_ceiling(capsys, monkeypatch):
     assert "FAIL: identity/constant_exactness: relative error on ones" in (
         capsys.readouterr().out
     )
+
+
+def test_verify_ops_refuses_an_oversized_n_before_any_table(tmp_path):
+    # n = 20000 is over the table ceiling; the checks at the smaller n once
+    # ran, and filled the store with their tables, before the refusal
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracstab", "verify-ops", "--n-list", "64,128,256,512,20000"],
+        capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: n = 20000 needs 3200320008 bytes per quadrature table")
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 
 def test_verify_ops_bad_inputs(capsys):

@@ -577,8 +577,11 @@ def test_composition_at_the_end_orders(beta):
     for pair in res.values():
         for residuals in pair:
             assert fraccalc._fit_slope(ns, residuals) >= 0.8
+    weighted = GridFunction(mesh, np.ones(mesh.n + 1), 0.5)
     with pytest.raises(ContractError, match="expects plain samples"):
-        integrate_derivative_residual(GridFunction(mesh, np.ones(mesh.n + 1), 0.5), order)
+        integrate_derivative_residual(weighted, order)
+    with pytest.raises(ContractError, match="expects plain samples"):
+        differentiate_integral_residual(weighted, order)
 
 
 @pytest.mark.parametrize("psi,a,T", PSI_CASES)
@@ -618,6 +621,62 @@ def test_run_operator_checks_validation():
         run_operator_checks(families=("spiral",), n_list=(64,))
     with pytest.raises(DomainError):
         run_operator_checks(families=("identity",), n_list=(2,))
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(fraccalc, "_cache", type(fraccalc._cache)())
+
+
+# each refusal below once came after the tables of the work before it
+
+
+def test_unknown_family_is_refused_before_any_table(empty_cache):
+    with pytest.raises(DomainError, match="unknown family 'bogus'"):
+        run_operator_checks(families=("identity", "bogus"), n_list=(16, 32))
+    assert not fraccalc._cache
+
+
+def test_oversized_n_is_refused_before_any_table(empty_cache):
+    with pytest.raises(DomainError, match="n = 20000 needs"):
+        run_operator_checks(families=("identity",), n_list=(16, 32, 20000))
+    assert not fraccalc._cache
+
+
+def test_one_cell_derivative_is_refused_before_any_table(empty_cache):
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 1)
+    with pytest.raises(ContractError, match="at least 3 nodes"):
+        hilfer_derivative(GridFunction(mesh, np.ones(2), 0.0), FracOrder(0.5, 0.5))
+    assert not fraccalc._cache
+
+
+def test_too_few_nodes_fail_the_slope_grade():
+    report = run_operator_checks(n_list=(4, 5))
+    assert not report.passed
+    assert any("below required" in failure for failure in report.failures), report.failures
+
+
+def _first_rows_by_scan(dx, reach):
+    first = []
+    for j in range(dx.size - 1):
+        rows = [i for i in range(dx.size) if dx[i] - dx[j + 1] >= reach[j]]
+        first.append(rows[0] if rows else dx.size)
+    return np.array(first)
+
+
+def test_first_rows_match_a_scan():
+    # 0.7 + 0.1 rounds to 0.7999999999999999, which the search places at
+    # row 2; but 0.7999999999999999 - 0.7 < 0.1, so the first row is 3
+    dx = np.array([0.0, 0.7, 0.7999999999999999, 0.9])
+    reach = np.full(3, 0.1)
+    assert np.searchsorted(dx, dx[1] + reach[0]) == 2
+    assert fraccalc._first_rows(dx, reach)[0] == 3
+    np.testing.assert_array_equal(fraccalc._first_rows(dx, reach), _first_rows_by_scan(dx, reach))
+    rng = np.random.default_rng(7)
+    for n in (4, 17, 64):
+        dx = np.cumsum(np.concatenate([[0.0], rng.choice([0.1, 0.2, 0.3], n)]))
+        reach = rng.choice([0.1, 0.2, 0.3, 0.5], n)
+        np.testing.assert_array_equal(fraccalc._first_rows(dx, reach), _first_rows_by_scan(dx, reach))
 
 
 def _discrete_fixed_point(mesh, v, g, alpha, sweeps=200):
@@ -694,6 +753,14 @@ def test_gronwall_validation():
     decreasing = GridFunction(mesh, np.linspace(1.0, 0.0, 17), 0.0)
     with pytest.raises(DomainError):
         gronwall_bound(ones, decreasing, 0.5)
+
+
+def test_gronwall_without_kernel_returns_v():
+    # g = 0 leaves no series term, whatever the shape of v
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 16)
+    v = GridFunction(mesh, np.linspace(2.0, 1.0, 17), 0.0)
+    bound = gronwall_bound(v, GridFunction(mesh, np.zeros(17), 0.0), 0.5)
+    np.testing.assert_array_equal(bound.values, v.values)
 
 
 def test_gronwall_series_overflow_reports_convergence_error():

@@ -136,6 +136,8 @@ def test_build_mesh_validation():
         build_mesh(PsiMap("identity"), 0.0, 1.0, 0)
     with pytest.raises(DomainError):
         build_mesh(PsiMap("identity"), 0.0, 1.0, 8, grading=0.5)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        build_mesh(PsiMap("identity"), -1e308, 1e308, 8)
 
 
 def test_build_mesh_refuses_zero_width_cells():

@@ -75,6 +75,12 @@ def test_parameter_shadowing_rejected():
     assert {"t", "y", "d", "pi", "e", "sqrt", "E"} <= RESERVED_NAMES
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameter_rejected(value):
+    with pytest.raises(ParseError, match="non-finite value"):
+        parse_expression("lam*t", {"lam": value})
+
+
 @pytest.mark.parametrize(
     "src",
     [

@@ -218,6 +218,10 @@ def test_picard_validation():
         picard_solve(p, mesh, operator=FracIntegralOperator(other, 0.5))
     with pytest.raises(ContractError):
         picard_solve(p, mesh, operator=FracIntegralOperator(mesh, 0.75))
+    with pytest.raises(ContractError, match="does not cover"):
+        picard_solve(p, build_mesh(p.psi, p.a, 2.0 * p.T, 16, 1.0))
+    with pytest.raises(ContractError, match="must all be finite"):
+        picard_solve(p, mesh, forcing=np.full(17, math.nan))
 
 
 def test_forcing_shifts_solution():
