@@ -69,8 +69,9 @@ outputs-diff:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make outputs-diff A=dir B=dir" >&2; exit 2; }
 	@$(PY) tools/outputs_diff.py "$(A)" "$(B)"
 
-# Time example 5's plain and weighted table builds (n = 256, 1024, 2048) and
-# the four cli-large requests with an empty and with a filled table store,
+# Time example 5's plain and weighted table builds (n = 256, 1024, 2048),
+# the import of fracstab.cli, the four cli-large requests with an empty and
+# with a filled table store and the 14 cli-small requests with a filled one,
 # each the median of fresh processes, and write
 # them with the host's numpy, SIMD features and peak RSS to $(OUT).  BASE=dir
 # measures a checkout of another commit in alternation on the same host.

@@ -23,9 +23,8 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import TextIO
+from contextlib import contextmanager, nullcontext
+from typing import NamedTuple, TextIO
 
 from .errors import (
     DomainError,
@@ -68,8 +67,7 @@ _TOP_KEYS = {
 _REQUIRED_KEYS = ("psi", "alpha", "beta", "a", "T", "y_a", "rhs")
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     """A validated problem document plus its optional stability extras."""
 
     problem: CauchyProblem
@@ -258,7 +256,7 @@ def _usable_lipschitz(p: CauchyProblem) -> tuple[CauchyProblem, str | None]:
     if not l < 1.0:
         _note(f"note: estimated l = {_num15(l)} is not below 1; constants unusable")
         return p, None
-    return replace(p, lipschitz=(k, l)), "estimated"
+    return p.with_lipschitz((k, l)), "estimated"
 
 
 def _lambda_phi(pf: ProblemFile, mesh: Mesh) -> tuple[float, float, bool | None]:
@@ -396,27 +394,27 @@ def cmd_certify(args) -> int:
 
 def cmd_perturb(args) -> int:
     pf = load_problem(args.problem)
-    # the options are refused before any numeric work
+    # the options are refused, and the output opened, before any numeric work
     spec = PerturbationSpec(
         epsilon=args.epsilon, shape=args.shape, trials=args.trials, seed=args.seed
     )
     spec.check_shape(pf.phi)
-    p, source = _usable_lipschitz(pf.problem)
-    if source is None:
-        _note("error: no usable Lipschitz constants; declare them in the file")
-        return 2
-    unique = certify_unique(p)
-    if not unique.certified:
-        _note(f"not certified: ratio {_num15(unique.ratio)} is not below 1")
-        return 4
-    mesh = build_mesh(p.psi, p.a, p.T, args.n, default_grading(p.order))
-    if pf.phi is not None:
-        _, lam_used, _ = _lambda_phi(pf, mesh)
-        cert = StabilityCertificate.ulam_hyers_rassias(p, pf.phi, lam_used)
-    else:
-        cert = StabilityCertificate.ulam_hyers(p)
-    report = perturb_and_check(p, cert, spec, mesh)
     with _output(args.out) as stream:
+        p, source = _usable_lipschitz(pf.problem)
+        if source is None:
+            _note("error: no usable Lipschitz constants; declare them in the file")
+            return 2
+        unique = certify_unique(p)
+        if not unique.certified:
+            _note(f"not certified: ratio {_num15(unique.ratio)} is not below 1")
+            return 4
+        mesh = build_mesh(p.psi, p.a, p.T, args.n, default_grading(p.order))
+        if pf.phi is not None:
+            _, lam_used, _ = _lambda_phi(pf, mesh)
+            cert = StabilityCertificate.ulam_hyers_rassias(p, pf.phi, lam_used)
+        else:
+            cert = StabilityCertificate.ulam_hyers(p)
+        report = perturb_and_check(p, cert, spec, mesh)
         stream.write(report_to_csv(report))
     _note(
         f"{cert.kind}: c_f={_num15(cert.c_f)} max_ratio={_num15(report.max_ratio)} "
@@ -436,21 +434,22 @@ def cmd_verify_ops(args) -> int:
     if not n_list:
         _note("error: --n-list is empty")
         return 2
-    report = run_operator_checks(families=families, n_list=n_list)
-    print(f"{'family':<10} {'check':<28} {'n':>5}  residual")
-    for row in report.rows:
-        print(f"{row.family:<10} {row.check:<28} {row.n:>5}  {row.residual:.3e}")
-    if report.slopes:
-        print()
-        print(f"{'family':<10} {'check':<28} slope")
-        for (fam, check), slope in sorted(report.slopes.items()):
-            print(f"{fam:<10} {check:<28} {slope:.3f}")
-    for note in report.notes:
-        print(f"note: {note}")
-    for failure in report.failures:
-        print(f"FAIL: {failure}")
-    if args.report is not None:
-        with _output(args.report) as stream:
+    # the report file is opened before the checks run
+    with nullcontext() if args.report is None else _output(args.report) as stream:
+        report = run_operator_checks(families=families, n_list=n_list)
+        print(f"{'family':<10} {'check':<28} {'n':>5}  residual")
+        for row in report.rows:
+            print(f"{row.family:<10} {row.check:<28} {row.n:>5}  {row.residual:.3e}")
+        if report.slopes:
+            print()
+            print(f"{'family':<10} {'check':<28} slope")
+            for (fam, check), slope in sorted(report.slopes.items()):
+                print(f"{fam:<10} {check:<28} {slope:.3f}")
+        for note in report.notes:
+            print(f"note: {note}")
+        for failure in report.failures:
+            print(f"FAIL: {failure}")
+        if stream is not None:
             stream.write("family,check,n,residual\n")
             for row in report.rows:
                 stream.write(f"{row.family},{row.check},{row.n},{_num15(row.residual)}\n")

@@ -40,7 +40,7 @@ import struct
 import sys
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -983,21 +983,19 @@ _FAMILY_SETUPS = {
 }
 
 
-@dataclass(frozen=True)
-class OperatorCheckRow:
+class OperatorCheckRow(NamedTuple):
     family: str
     check: str
     n: int
     residual: float
 
 
-@dataclass(frozen=True)
-class OperatorCheckReport:
-    rows: list[OperatorCheckRow]
+class OperatorCheckReport(NamedTuple):
+    rows: tuple[OperatorCheckRow, ...]
     slopes: dict[tuple[str, str], float]
     passed: bool
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    failures: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
 
 def _fit_slope(ns, residuals) -> float:
@@ -1106,5 +1104,6 @@ def run_operator_checks(
                     f"{fam}/{check}: slope {slope:.3f} below required {need:.3f}"
                 )
     return OperatorCheckReport(
-        rows=rows, slopes=slopes, passed=not failures, failures=failures, notes=notes
+        rows=tuple(rows), slopes=slopes, passed=not failures,
+        failures=tuple(failures), notes=tuple(notes),
     )

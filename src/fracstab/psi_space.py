@@ -11,7 +11,7 @@ carry a weight exponent ``w``, in which case the stored numbers are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,19 +33,19 @@ PSI_KINDS = ("identity", "logarithm", "power")
 _TABLE_BYTES_MAX = 1 << 30
 
 
-@dataclass(frozen=True)
 class PsiMap:
     """Increasing reparametrisation of the time axis.
 
     ``identity`` maps t -> t, ``logarithm`` maps t -> ln t (t > 0), and
     ``power`` maps t -> t**rho (t >= 0, rho > 0).  ``rho`` is ignored by
-    the other two kinds.
+    the other two kinds.  Immutable; equal when kind and rho are.
     """
 
-    kind: str
-    rho: float = 1.0
+    __slots__ = ("kind", "rho")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, rho: float = 1.0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rho", rho)
         if self.kind not in PSI_KINDS:
             raise DomainError(
                 f"unknown psi kind {self.kind!r}; expected one of {PSI_KINDS}",
@@ -57,6 +57,26 @@ class PsiMap:
             raise DomainError(
                 f"power map requires rho > 0, got {self.rho!r}", key="psi.rho"
             )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not PsiMap:
+            return NotImplemented
+        return (self.kind, self.rho) == (other.kind, other.rho)
+
+    def __hash__(self):
+        return hash((self.kind, self.rho))
+
+    def __reduce__(self):
+        return PsiMap, (self.kind, self.rho)
+
+    def __repr__(self):
+        return f"PsiMap(kind={self.kind!r}, rho={self.rho!r})"
 
     def value(self, t: float) -> float:
         """psi(t) at one point, such as an end of the interval; it must be finite."""
@@ -85,25 +105,46 @@ class PsiMap:
         return np.power(x, 1.0 / self.rho)
 
 
-@dataclass(frozen=True)
 class FracOrder:
     """Differentiation order ``alpha`` and interpolation type ``beta``.
 
     The induced exponent ``gamma = alpha + beta * (1 - alpha)`` governs the
     weight of the solution space; ``beta = 0`` and ``beta = 1`` recover the
-    two classical one-parameter constructions.
+    two classical one-parameter constructions.  Immutable; equal when alpha
+    and beta are.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
+    def __init__(self, alpha: float, beta: float):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(
                 f"alpha must lie in (0, 1], got {self.alpha!r}", key="alpha"
             )
         if not (0.0 <= self.beta <= 1.0):
             raise DomainError(f"beta must lie in [0, 1], got {self.beta!r}", key="beta")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not FracOrder:
+            return NotImplemented
+        return (self.alpha, self.beta) == (other.alpha, other.beta)
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta))
+
+    def __reduce__(self):
+        return FracOrder, (self.alpha, self.beta)
+
+    def __repr__(self):
+        return f"FracOrder(alpha={self.alpha!r}, beta={self.beta!r})"
 
     @property
     def gamma(self) -> float:
@@ -120,8 +161,7 @@ def default_grading(order: FracOrder) -> float:
     return max(1.0, 2.0 / order.alpha)
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(NamedTuple):
     """Graded mesh on ``[a, T]``, built in the transformed coordinate.
 
     ``offsets[j] = (psi(T) - psi(a)) * (j/n)**grading`` is the distance
@@ -139,9 +179,15 @@ class Mesh:
     T: float
     n: int
     grading: float
-    nodes: np.ndarray = field(repr=False)
-    psi_nodes: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
+    nodes: np.ndarray
+    psi_nodes: np.ndarray
+    offsets: np.ndarray
+
+    def __repr__(self):
+        return (
+            f"Mesh(psi={self.psi!r}, a={self.a!r}, T={self.T!r}, n={self.n!r}, "
+            f"grading={self.grading!r})"
+        )
 
     def same_as(self, other: "Mesh") -> bool:
         """True when both meshes share nodes (cheap identity-style check)."""
@@ -206,21 +252,21 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     )
 
 
-@dataclass(frozen=True)
 class GridFunction:
     """Nodal values on a mesh, possibly stored in weighted form.
 
     ``weight_exp = 0`` means plain samples ``u(t_j)``.  A positive weight
     ``w`` means the stored numbers are ``(psi(t_j) - psi(a))**w * u(t_j)``,
     with the value at ``t = a`` interpreted as the one-sided limit.
+    Immutable: ``values`` is a read-only copy of the given values.
     """
 
-    mesh: Mesh
-    values: np.ndarray = field(repr=False)
-    weight_exp: float = 0.0
+    __slots__ = ("mesh", "values", "weight_exp")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, mesh: Mesh, values: np.ndarray, weight_exp: float = 0.0):
+        object.__setattr__(self, "mesh", mesh)
+        object.__setattr__(self, "weight_exp", weight_exp)
+        vals = np.asarray(values, dtype=float)
         if vals.shape != (self.mesh.n + 1,):
             raise ContractError(
                 f"values shape {vals.shape} does not match mesh with "
@@ -236,3 +282,14 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GridFunction, (self.mesh, self.values, self.weight_exp)
+
+    def __repr__(self):
+        return f"GridFunction(mesh={self.mesh!r}, weight_exp={self.weight_exp!r})"

@@ -11,16 +11,16 @@ Mittag-Leffler call.
 
 Named parameters are inlined as numeric literals while parsing, so an
 ``Expr`` is self-contained: evaluation needs no environment beyond the
-three variables.  Trees are frozen dataclasses; parsing and evaluation
-are pure.  ``to_source`` renders the canonical fully parenthesised form,
-which re-parses to the same string and value, if not always the same tree.
+three variables.  Trees are named tuples, immutable and compared by
+value; parsing and evaluation are pure.  ``to_source`` renders the
+canonical fully parenthesised form, which re-parses to the same string
+and value, if not always the same tree.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -50,30 +50,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     args: tuple["Expr", ...]
 

@@ -17,7 +17,7 @@ the stopping test live in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CauchyProblem:
     """One scalar Cauchy problem on [a, T].
 
@@ -53,20 +52,30 @@ class CauchyProblem:
     side in the y slot, l in the derivative slot; l < 1 because the
     implicit dependence is resolved through the same fixed point.  It is
     the only source of constants for the contraction verdict and the
-    stability constants; try other constants on a
-    ``dataclasses.replace`` copy.
+    stability constants; try other constants on the copy that
+    :meth:`with_lipschitz` makes.  Immutable; two problems are equal when
+    their fields are.  ``span`` is psi(T) - psi(a), derived.
     """
 
-    psi: PsiMap
-    order: FracOrder
-    a: float
-    T: float
-    y_a: float
-    rhs: Expr
-    lipschitz: tuple[float, float] | None = None
-    span: float = field(init=False, compare=False, repr=False)  # psi(T) - psi(a)
+    __slots__ = ("psi", "order", "a", "T", "y_a", "rhs", "lipschitz", "span")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        psi: PsiMap,
+        order: FracOrder,
+        a: float,
+        T: float,
+        y_a: float,
+        rhs: Expr,
+        lipschitz: tuple[float, float] | None = None,
+    ):
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "y_a", y_a)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "lipschitz", lipschitz)
         if not (math.isfinite(self.a) and math.isfinite(self.T) and self.T > self.a):
             raise DomainError(
                 f"need finite T > a, got a={self.a!r}, T={self.T!r}", key="T"
@@ -109,9 +118,41 @@ class CauchyProblem:
                 )
             object.__setattr__(self, "lipschitz", (float(k), float(l)))
 
+    def with_lipschitz(self, lipschitz: tuple[float, float] | None) -> "CauchyProblem":
+        """This problem with the constants ``lipschitz`` (or none), checked again."""
+        return CauchyProblem(
+            self.psi, self.order, self.a, self.T, self.y_a, self.rhs, lipschitz
+        )
 
-@dataclass(frozen=True)
-class Solution:
+    def _key(self) -> tuple:
+        return (self.psi, self.order, self.a, self.T, self.y_a, self.rhs, self.lipschitz)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not CauchyProblem:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return CauchyProblem, self._key()
+
+    def __repr__(self):
+        return (
+            f"CauchyProblem(psi={self.psi!r}, order={self.order!r}, a={self.a!r}, "
+            f"T={self.T!r}, y_a={self.y_a!r}, rhs={self.rhs!r}, "
+            f"lipschitz={self.lipschitz!r})"
+        )
+
+
+class Solution(NamedTuple):
     """Converged Picard iterate and the norms of its corrections.
 
     ``g`` is the auxiliary fixed-point function and ``y`` the reconstructed
@@ -129,8 +170,7 @@ class Solution:
     update_norms: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class UniquenessCertificate:
+class UniquenessCertificate(NamedTuple):
     certified: bool
     ratio: float  # k * X**alpha / (Gamma(alpha + 1) * (1 - l))
     factor: float  # k * X**alpha / Gamma(alpha + 1) + l

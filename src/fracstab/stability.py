@@ -20,7 +20,7 @@ mesh, or cannot build the doubled one, is an error row, not an abort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
 PERTURBATION_SHAPES = ("constant", "phi_scaled", "random_bounded", "zero")
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(NamedTuple):
     """Certified constant ``c_f``; ``phi`` is the comparison function of a
     weighted (Ulam-Hyers-Rassias) certificate, ``None`` for a plain one."""
 
@@ -176,7 +175,6 @@ def lambda_phi_in_force(
 # ---------------------------------------------------------------------------
 # perturbation harness
 
-@dataclass(frozen=True)
 class PerturbationSpec:
     """How to manufacture admissible perturbations.
 
@@ -184,14 +182,22 @@ class PerturbationSpec:
     the comparison function (weighted) at all nodes.  ``random_bounded``
     draws nodewise uniform values and applies one smoothing pass; the
     seed, a non-negative integer, makes each trial reproducible.
+    Immutable.
     """
 
-    epsilon: float
-    shape: str = "random_bounded"
-    trials: int = 20
-    seed: int = 0
+    __slots__ = ("epsilon", "shape", "trials", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        epsilon: float,
+        shape: str = "random_bounded",
+        trials: int = 20,
+        seed: int = 0,
+    ):
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.shape not in PERTURBATION_SHAPES:
@@ -202,6 +208,21 @@ class PerturbationSpec:
             raise DomainError(f"need at least one trial, got {self.trials!r}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed!r}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PerturbationSpec, (self.epsilon, self.shape, self.trials, self.seed)
+
+    def __repr__(self):
+        return (
+            f"PerturbationSpec(epsilon={self.epsilon!r}, shape={self.shape!r}, "
+            f"trials={self.trials!r}, seed={self.seed!r})"
+        )
 
     def check_shape(self, phi: Expr | None) -> None:
         """Refuse a shape that the certificate's comparison function
@@ -215,8 +236,7 @@ class PerturbationSpec:
             raise ContractError("phi_scaled shape needs a comparison function")
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     trial: int
     seed: int
     shape: str
@@ -228,8 +248,7 @@ class TrialResult:
     refined: bool = False  # re-run on the doubled mesh (an error row too)
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     kind: str
     epsilon: float
     c_f: float
@@ -270,8 +289,7 @@ _ALLOWANCE = 0.05
 _TRIAL_ERRORS = (NonConvergenceError, EvaluationError, DomainError)
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """One mesh of the harness and what every trial on it is measured against.
 
     ``envelope`` holds epsilon, or epsilon times the comparison function,

@@ -568,6 +568,25 @@ def test_estimated_constants_leave_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_requests_leave_dataclasses_unimported(tmp_path):
+    # the records are plain classes: generating dataclass methods at import
+    # cost each request about 20 ms
+    script = (
+        "import sys\n"
+        "from fracstab.cli import main\n"
+        "codes = [main(['certify', sys.argv[1], '--json']),\n"
+        "         main(['solve', sys.argv[2], '--n', '64', '--out', sys.argv[3]])]\n"
+        "print(codes, 'dataclasses' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(PROBLEMS / "example5.json"),
+         str(PROBLEMS / "example1.json"), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_solve_reports_estimated_factor(capsys, tmp_path):
     assert main(["solve", _without_constants(tmp_path), "--n", "32"]) == 0
     err = capsys.readouterr().err.splitlines()
@@ -698,6 +717,11 @@ def test_solve_nonconvergence_exit(capsys, tmp_path):
     runaway = tmp_path / "runaway.json"
     runaway.write_text(json.dumps(mutate(rhs="30*y")))
     assert main(["solve", str(runaway), "--n", "16", "--max-iter", "5"]) == 3
+    # solve creates its --out file only once the solve has converged
+    out = tmp_path / "out.csv"
+    args = ["solve", str(runaway), "--n", "16", "--max-iter", "5", "--out", str(out)]
+    assert main(args) == 3
+    assert not out.exists()
     capsys.readouterr()
 
 
@@ -982,6 +1006,26 @@ def test_verify_ops_refuses_an_oversized_n_before_any_table(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: n = 20000 needs 3200320008 bytes per quadrature table")
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-ops", "--n-list", "64,128", "--report"],
+    ["perturb", str(PROBLEMS / "example5.json"), "--n", "2048", "--out"],
+])
+def test_an_unopenable_output_is_refused_before_any_numeric_work(tmp_path, command):
+    # the file is opened first, so no check, trial or table runs: the
+    # table store stays empty and nothing reaches stdout
+    target = tmp_path / "missing" / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracstab", *command, str(target)],
+        capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
     assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
 

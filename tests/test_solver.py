@@ -1,7 +1,6 @@
 """Problem container, contraction bookkeeping, and the fixed-point solver."""
 
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -72,7 +71,7 @@ def test_contraction_factor_frozen():
     assert fac.factor == pytest.approx(L_EX1, rel=1e-13)
     assert fac.ratio == pytest.approx(R_EX1, rel=1e-13)
     # no damping on the derivative slot: ratio and factor coincide at l = 0
-    fac0 = certify_unique(replace(pf.problem, lipschitz=(0.25, 0.0)))
+    fac0 = certify_unique(pf.problem.with_lipschitz((0.25, 0.0)))
     assert fac0.factor == pytest.approx(fac0.ratio, rel=1e-14)
 
 
@@ -171,11 +170,11 @@ def test_solve_reads_no_constants():
     p = load_example(1).problem
     mesh = _mesh(p, 64)
     declared = picard_solve(p, mesh)
-    bare = picard_solve(replace(p, lipschitz=None), mesh)
+    bare = picard_solve(p.with_lipschitz(None), mesh)
     assert np.array_equal(declared.g.values, bare.g.values)
     assert np.array_equal(declared.y.values, bare.y.values)
     assert declared.update_norms == bare.update_norms
-    assert [f.name for f in fields(Solution)] == [
+    assert list(Solution._fields) == [
         "g", "y", "iterations", "update_norms"
     ]
 

@@ -1,7 +1,6 @@
 """Stability constants, comparison-function checks, and the harness."""
 
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -298,7 +297,7 @@ def test_understated_constants_fail_and_refine():
     # caught by the harness, and the refinement pass must confirm it
     pf = load_example(1)
     weak = StabilityCertificate.ulam_hyers(
-        replace(pf.problem, lipschitz=(0.01, 0.0))
+        pf.problem.with_lipschitz((0.01, 0.0))
     )
     mesh = _mesh_for(pf.problem, 32)
     spec = PerturbationSpec(epsilon=1e-2, shape="constant", trials=1)
@@ -327,7 +326,7 @@ def test_failed_refinement_gives_error_rows():
     # but not of the base one; every trial violates the understated bound,
     # and each refinement's unperturbed solve fails
     p = _simple("0.1*y + 1e-9/(t - 0.0625)", (0.1, 0.0))
-    weak = StabilityCertificate.ulam_hyers(replace(p, lipschitz=(1e-4, 0.0)))
+    weak = StabilityCertificate.ulam_hyers(p.with_lipschitz((1e-4, 0.0)))
     mesh = build_mesh(p.psi, p.a, p.T, 8, 1.0)
     spec = PerturbationSpec(epsilon=1e-2, shape="constant", trials=2)
     report = perturb_and_check(p, weak, spec, mesh)

@@ -145,3 +145,14 @@ def test_line_trace_merges_runs_and_reports_the_rest(tmp_path):
     assert set(report) == {p.name for p in (ROOT / "src" / "fracstab").glob("*.py")}
     never = _numbers(report["specfun.py"].split(" never ran: ")[1])
     assert series in never and gamma not in never
+
+
+def test_bench_tables_times_the_import_and_the_small_requests():
+    jobs = dict(_bench_tables()._jobs())
+    assert jobs[("startup",)] == [[sys.executable, "-c", "import fracstab.cli"]]
+    small = jobs[("cli_small_warm",)]
+    assert len(small) == 14
+    assert [argv[3:] for argv in small[:2]] == [
+        ["certify", "problems/example1.json", "--json"],
+        ["solve", "problems/example1.json", "--n", "256"],
+    ]

@@ -5,14 +5,20 @@ Every number is the median wall time of fresh Python processes:
 * ``builds``: one plain and one weighted table build on example 5's mesh
   (psi = log, alpha = 1/2, default grading) at n = 256, 1024 and 2048;
   the import and the mesh are not timed.
+* ``startup``: ``python -c "import fracstab.cli"``, the import every
+  request pays before its own work.
 * ``cli_large_cold`` and ``cli_large_warm``: the four requests of the
   ``cli-large`` workload (``solve --n 2048`` on examples 5 and 7,
   ``solve --n 1024`` on example 1, ``verify-ops``), timed from process
   start to exit.  A cold process gets a fresh, empty table store
   (``XDG_CACHE_HOME``); a warm one the tree's own store, filled by an
   untimed run of each request first.
+* ``cli_small_warm``: the 14 requests of the ``cli-small`` workload
+  (``certify --json`` and ``solve --n 256`` on examples 1-7) run one
+  after another with a warm store; a sample is their summed wall time,
+  and its peak RSS the largest of the 14.
 
-Each entry also records the peak RSS of every process (``runs_rss_mb``,
+Each entry also records the peak RSS of every sample (``runs_rss_mb``,
 next to ``runs_s``) and their maximum.  With ``--baseline DIR`` (a checkout
 of another commit) both trees are measured on the same host, back to back
 per number and in alternating order, and the JSON gains, per number, the
@@ -65,6 +71,13 @@ REQUESTS = {
     "solve example1 --n 1024": ("solve", "problems/example1.json", "--n", "1024"),
     "verify-ops": ("verify-ops",),
 }
+
+SMALL_REQUESTS = [
+    request
+    for i in range(1, 8)
+    for request in (("certify", f"problems/example{i}.json", "--json"),
+                    ("solve", f"problems/example{i}.json", "--n", "256"))
+]
 
 SIMD = """
 import json
@@ -122,11 +135,15 @@ def _summary(runs: list[float], rss: list[float]) -> dict:
             "peak_rss_mb": max(rss), "runs_rss_mb": rss}
 
 
-def _jobs() -> list[tuple[tuple[str, ...], list[str]]]:
-    jobs = [(("builds", kind, str(n)), [sys.executable, "-c", BUILD, kind, str(n)])
+def _jobs() -> list[tuple[tuple[str, ...], list[list[str]]]]:
+    """Each number's key and the processes one sample of it runs in turn."""
+    cli = [sys.executable, "-m", "fracstab"]
+    jobs = [(("builds", kind, str(n)), [[sys.executable, "-c", BUILD, kind, str(n)]])
             for kind in ("plain", "weighted") for n in SIZES]
-    jobs += [((f"cli_large_{state}", name), [sys.executable, "-m", "fracstab", *args])
+    jobs.append((("startup",), [[sys.executable, "-c", "import fracstab.cli"]]))
+    jobs += [((f"cli_large_{state}", name), [[*cli, *args]])
              for state in ("cold", "warm") for name, args in REQUESTS.items()]
+    jobs.append((("cli_small_warm",), [[*cli, *args] for args in SMALL_REQUESTS]))
     return jobs
 
 
@@ -139,20 +156,21 @@ def measure(trees: dict[str, Path], repeats: int, scratch: Path) -> dict:
                        cwd=trees[label], env=_env(trees[label], scratch), check=True)
     warm = {label: scratch / f"warm-{label}" for label in labels}
     for label in labels:
-        for key, argv in _jobs():
-            if key[0] == "cli_large_warm":
-                _run(trees[label], argv, warm[label])
+        for key, argvs in _jobs():
+            if key[0].endswith("_warm"):
+                for argv in argvs:
+                    _run(trees[label], argv, warm[label])
     samples = {label: {} for label in labels}
     for rep in range(repeats):
-        for key, argv in _jobs():
+        for key, argvs in _jobs():
             cold = key[0] == "cli_large_cold"
             for label in labels if rep % 2 == 0 else labels[::-1]:
                 store = Path(tempfile.mkdtemp(dir=scratch)) if cold else warm[label]
-                wall, out, rss = _run(trees[label], argv, store)
+                runs = [_run(trees[label], argv, store) for argv in argvs]
                 if cold:
                     shutil.rmtree(store)
-                took = float(out) if key[0] == "builds" else wall
-                samples[label].setdefault(key, []).append((took, rss))
+                took = float(runs[0][1]) if key[0] == "builds" else sum(r[0] for r in runs)
+                samples[label].setdefault(key, []).append((took, max(r[2] for r in runs)))
     result = {}
     for label, got in samples.items():
         entry = {"git_sha": _sha(trees[label])}
@@ -198,8 +216,9 @@ def main() -> int:
         _, host, _ = _run(ROOT, [sys.executable, "-c", SIMD], Path(scratch))
         measured = measure(trees, args.repeats, Path(scratch))
     doc = {
-        "what": "median wall time of fresh processes: table builds on example 5's mesh "
-                "and the four cli-large requests with an empty and a filled table store",
+        "what": "median wall time of fresh processes: table builds on example 5's mesh, "
+                "the import of fracstab.cli, the four cli-large requests with an empty "
+                "and a filled table store, and the 14 cli-small requests with a filled one",
         "repeats": args.repeats,
         "host": {
             **json.loads(host),
@@ -215,8 +234,7 @@ def main() -> int:
     if args.baseline is not None:
         base, change = doc["trees"]["baseline"], doc["trees"]["change"]
         doc["speedup_baseline_over_change"] = {
-            part: _ratios(base[part], change[part])
-            for part in ("builds", "cli_large_cold", "cli_large_warm")
+            part: _ratios(base[part], change[part]) for part in base if part != "git_sha"
         }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
