@@ -161,6 +161,14 @@ _STORE_BYTES = 256 << 20
 #: about the time a load takes (0.3 ms), and storing one costs more.
 _STORE_MIN_BYTES = 128 << 10
 
+#: An apply of a table mapped from the store releases the pages it has
+#: read in runs of at least this many bytes, and the rest after its last
+#: block (see ``_MappedTable``).  Each release is a system call that costs
+#: about 10 us; in runs of 1 MiB a table under 1 MiB pays one per apply,
+#: and at most about one block of the widest (1 MiB at n = 2048) and one
+#: run stay resident.
+_RELEASE_BYTES = 1 << 20
+
 #: Gauss-Legendre rules on [0, 1] for the separated cells of a weighted
 #: table, fewest nodes last: ``(separation, nodes s_q, weights w_q)``, the
 #: nodes and weights being the exact values rounded to double.  They are
@@ -219,9 +227,13 @@ class FracIntegralOperator:
     A table is a tuple of read-only row blocks (``_block_bounds``): block
     ``k`` holds rows ``[r0, r1)`` and columns ``[0, r1)``, about half of
     the ``(n+1)**2`` square (17.3 MB instead of 33.6 MB at n = 2048).  The
-    blocks view one packed buffer, built or mapped from the store.  A
-    weighted build fills the square first, so ``build_mesh`` refuses
-    meshes whose square would exceed 1 GiB (n > 11584).
+    blocks view one packed buffer, built or mapped from the store.  An
+    apply of a mapped table releases the pages it has reduced
+    (``_MappedTable``), so about 1 MiB of it stays resident and the next
+    apply reads the rest back from the page cache; a table built in
+    memory is never released.  A weighted build fills the square first,
+    so ``build_mesh`` refuses meshes whose square would exceed 1 GiB
+    (n > 11584).
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
@@ -283,13 +295,65 @@ def _matvec(blocks: _Table, u: np.ndarray) -> np.ndarray:
     of 32 that gives the bits of the square product.  ``optimize`` must stay
     off: the optimized ``einsum`` path hands the product back to BLAS, whose
     ``dgemv`` summation order depends on the BLAS build and moved reported
-    certificates by an ulp.
+    certificates by an ulp.  A ``_MappedTable`` releases its pages as the
+    blocks are reduced, so about 1 MiB of it is resident at a time.
     """
     out = np.empty(u.shape[0])
-    for block in blocks:
+    release = blocks.release if isinstance(blocks, _MappedTable) else None
+    for k, block in enumerate(blocks):
         r1 = block.shape[1]
         np.einsum("ij,j->i", block, u[:r1], out=out[r1 - block.shape[0]:r1])
+        if release is not None:
+            release(k)
     return out
+
+
+class _MappedTable(tuple):
+    """The row blocks of a table that ``_load_table`` mapped from the store.
+
+    ``release(k)`` drops from the process, by ``MADV_DONTNEED``, the whole
+    pages of the table that end by block ``k``'s last byte and were not
+    dropped before, once they make up ``_RELEASE_BYTES`` or ``k`` is the
+    last block.  The mapping is a shared read-only one of the store's
+    file, so the next apply faults them back in from the page cache with
+    the same bits, and page-cache memory is not part of the process's RSS.
+    On an anonymous mapping, or memory from ``malloc``, the release would
+    read back zeros, so a table built in memory is a plain tuple.
+    """
+
+    def release(self, k: int) -> None:
+        span = self.spans[k]
+        if span is not None:
+            self.madvise(self.dontneed, *span)
+
+
+def _mapped_table(packed: np.ndarray, n: int) -> _Table:
+    """The blocks of a packed table that ``_load_table`` mapped, as a
+    ``_MappedTable``; a plain tuple where ``mmap`` cannot release pages
+    (Windows)."""
+    import mmap  # np.load imported it to map the table
+
+    table = _blocks(packed, n)
+    mapping = packed  # the mmap of np.load's memmap ends the chain of bases
+    while isinstance(mapping, np.ndarray):
+        mapping = mapping.base
+    dontneed = getattr(mmap, "MADV_DONTNEED", None)
+    if dontneed is None:
+        return table
+    base = np.frombuffer(mapping, np.uint8).__array_interface__["data"][0]
+    page = mmap.PAGESIZE
+    done = -(-(packed.__array_interface__["data"][0] - base) // page) * page
+    spans = []
+    for k, block in enumerate(table):
+        end = (block.__array_interface__["data"][0] + block.nbytes - base) // page * page
+        if end - done >= _RELEASE_BYTES or (k == len(table) - 1 and end > done):
+            spans.append((done, end - done))
+            done = end
+        else:
+            spans.append(None)
+    mapped = _MappedTable(table)
+    mapped.madvise, mapped.dontneed, mapped.spans = mapping.madvise, dontneed, spans
+    return mapped
 
 
 def _pow_diffs(B: np.ndarray, A: np.ndarray, exponents) -> list[np.ndarray]:
@@ -347,7 +411,7 @@ def _blocks(packed: np.ndarray, n: int) -> _Table:
 
 def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
     """The read-only table from ``_cache``; on a miss it is mapped from the
-    on-disk store, or built and then stored.
+    on-disk store, as a ``_MappedTable``, or built and then stored.
 
     Eviction drops the cache's reference only; operators keep their own.
     """
@@ -358,7 +422,9 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
         return hit[0]
     use_store = 8 * (mesh.n + 1) ** 2 >= _STORE_MIN_BYTES
     packed = _load_table(key, mesh.n) if use_store else None
-    if packed is None:
+    if packed is not None:
+        table = _mapped_table(packed, mesh.n)
+    else:
         if weight_exp == 0.0:
             packed = _build_plain_table(mesh, alpha)
         else:
@@ -366,7 +432,7 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
         packed.setflags(write=False)
         if use_store:
             _save_table(key, mesh.n, packed)
-    table = _blocks(packed, mesh.n)
+        table = _blocks(packed, mesh.n)
     _cache[key] = table, packed.nbytes
     held = sum(nbytes for _, nbytes in _cache.values())
     while held > _CACHE_BYTES and len(_cache) > 1:

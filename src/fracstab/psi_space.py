@@ -217,7 +217,7 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     if n < 1:
         raise DomainError(f"build_mesh needs n >= 1, got {n!r}")
     if not (math.isfinite(grading) and grading >= 1.0):
-        raise DomainError(f"grading must be >= 1, got {grading!r}")
+        raise DomainError(f"grading must be a finite number >= 1, got {grading!r}")
     nbytes = (n + 1) ** 2 * 8
     if nbytes > _TABLE_BYTES_MAX:
         raise DomainError(

@@ -352,6 +352,15 @@ def test_solve_input_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("grade", ["nan", "inf"])
+def test_non_finite_grade_is_refused_in_one_line(capsys, grade):
+    argv = ["solve", str(PROBLEMS / "example1.json"), "--n", "16", "--grade", grade]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: grading must be a finite number >= 1, got {grade}"]
+
+
 def test_solve_error_names_the_failing_node(capsys, tmp_path):
     # gamma's argument 0.55 - t first turns negative at node 14 of 16, at
     # t = (14/16)^4 on example 1's mesh, not at the first node
@@ -585,6 +594,31 @@ def test_requests_leave_dataclasses_unimported(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+def test_requests_leave_mmap_unimported(tmp_path):
+    # only a table mapped from the store needs mmap: certify's tables and
+    # the n = 64 solve's lie below the store's n >= 127 floor, while an
+    # n = 128 solve maps its table once the store holds it
+    script = (
+        "import contextlib, io, sys\n"
+        "from fracstab import fraccalc\n"
+        "from fracstab.cli import main\n"
+        "def run(*argv):\n"
+        "    fraccalc._cache.clear()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return main(list(argv))\n"
+        "codes = [run('certify', sys.argv[1], '--json'), run('solve', sys.argv[1], '--n', '64')]\n"
+        "before = 'mmap' in sys.modules\n"
+        "codes += [run('solve', sys.argv[1], '--n', '128') for _ in range(2)]\n"
+        "print(codes, before, 'mmap' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(PROBLEMS / "example1.json")],
+        capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False True"
 
 
 def test_solve_reports_estimated_factor(capsys, tmp_path):

@@ -128,6 +128,99 @@ def test_stored_table_holds_its_blocks_only(store):
     assert np.array_equal(got, want)
 
 
+# The peak is the process's own high-water mark, VmHWM: its ru_maxrss
+# starts at the peak of the process that spawned it, which Linux carries
+# over at exec, and pytest's is the larger.
+RESIDENCY = """
+import sys
+import numpy as np
+from fracstab import fraccalc
+from fracstab.psi_space import GridFunction, PsiMap, build_mesh
+def peak():
+    with open("/proc/self/status") as f:
+        return next(1024 * int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 2048, grading=2.0)
+op = fraccalc.FracIntegralOperator(mesh, 0.5)
+op._table(0.0)
+mapped = peak()
+u = GridFunction(mesh, np.cos(mesh.nodes), 0.0)
+outs = [op.apply(u).values for _ in range(8)]
+rise = peak() - mapped
+np.save(sys.argv[1], np.array(outs))
+print(isinstance(op._table(0.0), fraccalc._MappedTable), rise)
+"""
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(mmap, "MADV_DONTNEED")),
+    reason="needs MADV_DONTNEED and /proc/self/status (Linux)",
+)
+def test_mapped_table_keeps_one_block_resident(store, tmp_path):
+    n = 2048
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=2.0)
+    fraccalc._shared_table(mesh, 0.5, 0.0)
+    assert len(_files(store)) == 1
+    outs = tmp_path / "outs.npy"
+    proc = subprocess.run([sys.executable, "-c", RESIDENCY, str(outs)], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    released, rise = proc.stdout.split()
+    # without the release, the 8 applies fault in the whole table; the
+    # kernel's peak counter lags the resident set by a few MB
+    table_bytes = 8 * fraccalc._packed_size(n)
+    assert released == "True" and int(rise) < table_bytes / 2, (rise, table_bytes)
+    got = np.load(outs)
+    want = np.einsum("ij,j->i", square_table(fraccalc._build_plain_table(mesh, 0.5), n),
+                     np.cos(mesh.nodes))
+    want[0] = 0.0
+    assert all(np.array_equal(out, want) for out in got)
+
+
+def _unusable_store(monkeypatch, tmp_path):
+    # the cache path is a regular file
+    (tmp_path / "file").write_text("not a directory")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    return 200
+
+
+def _below_the_floor(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return 64
+
+
+def _stored(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 200, grading=2.0)
+    fraccalc._shared_table(mesh, 0.5, 0.0)
+    fraccalc._cache.clear()
+    return 200
+
+
+@pytest.mark.parametrize("setup", [_below_the_floor, _unusable_store, _stored])
+def test_only_store_mapped_tables_are_released(monkeypatch, tmp_path, setup):
+    # releasing an anonymous mapping would read back zeros; a table mapped
+    # from the store reads back its own bits
+    monkeypatch.setattr(fraccalc, "_cache", OrderedDict())
+    n = setup(monkeypatch, tmp_path)
+    released = []
+    release = fraccalc._MappedTable.release
+    monkeypatch.setattr(fraccalc._MappedTable, "release",
+                        lambda table, k: released.append(k) or release(table, k))
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=2.0)
+    op = fraccalc.FracIntegralOperator(mesh, 0.5)
+    u = np.cos(mesh.nodes)
+    want = np.einsum("ij,j->i", square_table(fraccalc._build_plain_table(mesh, 0.5), n), u)
+    want[0] = 0.0
+    for _ in range(3):
+        assert np.array_equal(op.apply(GridFunction(mesh, u, 0.0)).values, want)
+    mapped = setup is _stored
+    assert isinstance(_owner(op._table(0.0)[0]), mmap.mmap) is mapped
+    if not (mapped and hasattr(mmap, "MADV_DONTNEED")):
+        assert released == [] and type(op._table(0.0)) is tuple
+    else:
+        assert released == list(range(len(fraccalc._block_bounds(n)))) * 3
+
+
 COLD_WARM = """
 import contextlib, io, sys
 from fracstab import fraccalc
