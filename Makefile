@@ -93,7 +93,8 @@ bench-smoke:
 # benchmark's smoke tests, then this Makefile's `outputs` recipe in both
 # trees, so both answer the same requests, first with an empty and then with
 # the filled table store, each pair compared with `diff -r`.  Exits non-zero
-# on any failure or difference.
+# on any failure or difference.  Last it prints the line total of
+# src/fracstab in both trees, which the gate does not judge.
 # Usage: make check BASE=dir
 check:
 	@test -n "$(BASE)" || { echo "usage: make check BASE=dir" >&2; exit 2; }
@@ -107,3 +108,5 @@ check:
 		diff -r $$tmp/base-$$run $$tmp/change-$$run || exit 1; \
 		echo "make outputs, $$run store: no difference"; \
 	done
+	@echo "src/fracstab lines: base $$(cat $(abspath $(BASE))/src/fracstab/*.py | wc -l)," \
+		"change $$(cat src/fracstab/*.py | wc -l)"

@@ -33,7 +33,53 @@ PSI_KINDS = ("identity", "logarithm", "power")
 _TABLE_BYTES_MAX = 1 << 30
 
 
-class PsiMap:
+class _Frozen:
+    """Immutable record whose constructor checks its arguments.
+
+    ``_args`` names the constructor's arguments in order; equality, hash
+    and repr read those fields, and copies and pickles call the
+    constructor with them, so its checks run again.  ``__init__`` sets
+    the fields with ``_set``; nothing can assign or delete them after.
+    """
+
+    __slots__ = ()
+    _args: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._args])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__name__}({fields})"
+
+
+def _is_count(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+class PsiMap(_Frozen):
     """Increasing reparametrisation of the time axis.
 
     ``identity`` maps t -> t, ``logarithm`` maps t -> ln t (t > 0), and
@@ -41,11 +87,10 @@ class PsiMap:
     the other two kinds.  Immutable; equal when kind and rho are.
     """
 
-    __slots__ = ("kind", "rho")
+    __slots__ = _args = ("kind", "rho")
 
     def __init__(self, kind: str, rho: float = 1.0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rho", rho)
+        self._set(kind=kind, rho=rho)
         if self.kind not in PSI_KINDS:
             raise DomainError(
                 f"unknown psi kind {self.kind!r}; expected one of {PSI_KINDS}",
@@ -57,26 +102,6 @@ class PsiMap:
             raise DomainError(
                 f"power map requires rho > 0, got {self.rho!r}", key="psi.rho"
             )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not PsiMap:
-            return NotImplemented
-        return (self.kind, self.rho) == (other.kind, other.rho)
-
-    def __hash__(self):
-        return hash((self.kind, self.rho))
-
-    def __reduce__(self):
-        return PsiMap, (self.kind, self.rho)
-
-    def __repr__(self):
-        return f"PsiMap(kind={self.kind!r}, rho={self.rho!r})"
 
     def value(self, t: float) -> float:
         """psi(t) at one point, such as an end of the interval; it must be finite."""
@@ -105,7 +130,7 @@ class PsiMap:
         return np.power(x, 1.0 / self.rho)
 
 
-class FracOrder:
+class FracOrder(_Frozen):
     """Differentiation order ``alpha`` and interpolation type ``beta``.
 
     The induced exponent ``gamma = alpha + beta * (1 - alpha)`` governs the
@@ -114,37 +139,16 @@ class FracOrder:
     and beta are.
     """
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = _args = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self._set(alpha=alpha, beta=beta)
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(
                 f"alpha must lie in (0, 1], got {self.alpha!r}", key="alpha"
             )
         if not (0.0 <= self.beta <= 1.0):
             raise DomainError(f"beta must lie in [0, 1], got {self.beta!r}", key="beta")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not FracOrder:
-            return NotImplemented
-        return (self.alpha, self.beta) == (other.alpha, other.beta)
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta))
-
-    def __reduce__(self):
-        return FracOrder, (self.alpha, self.beta)
-
-    def __repr__(self):
-        return f"FracOrder(alpha={self.alpha!r}, beta={self.beta!r})"
 
     @property
     def gamma(self) -> float:
@@ -214,6 +218,9 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     T = float(T)
     if not T > a:
         raise DomainError(f"build_mesh needs T > a, got a={a!r}, T={T!r}")
+    if not _is_count(n):
+        raise DomainError(f"build_mesh needs an integer n, got {n!r}")
+    n = int(n)
     if n < 1:
         raise DomainError(f"build_mesh needs n >= 1, got {n!r}")
     if not (math.isfinite(grading) and grading >= 1.0):
@@ -252,20 +259,22 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     )
 
 
-class GridFunction:
+class GridFunction(_Frozen):
     """Nodal values on a mesh, possibly stored in weighted form.
 
     ``weight_exp = 0`` means plain samples ``u(t_j)``.  A positive weight
     ``w`` means the stored numbers are ``(psi(t_j) - psi(a))**w * u(t_j)``,
     with the value at ``t = a`` interpreted as the one-sided limit.
-    Immutable: ``values`` is a read-only copy of the given values.
+    Immutable: ``values`` is a read-only copy of the given values.  Equal
+    only to itself, since it holds an array.
     """
 
-    __slots__ = ("mesh", "values", "weight_exp")
+    __slots__ = _args = ("mesh", "values", "weight_exp")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, mesh: Mesh, values: np.ndarray, weight_exp: float = 0.0):
-        object.__setattr__(self, "mesh", mesh)
-        object.__setattr__(self, "weight_exp", weight_exp)
+        self._set(mesh=mesh, weight_exp=weight_exp)
         vals = np.asarray(values, dtype=float)
         if vals.shape != (self.mesh.n + 1,):
             raise ContractError(
@@ -280,16 +289,7 @@ class GridFunction:
             )
         vals = vals.copy()
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return GridFunction, (self.mesh, self.values, self.weight_exp)
+        self._set(values=vals)
 
     def __repr__(self):
         return f"GridFunction(mesh={self.mesh!r}, weight_exp={self.weight_exp!r})"

@@ -29,7 +29,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .fraccalc import FracIntegralOperator
-from .psi_space import FracOrder, GridFunction, Mesh, PsiMap, build_mesh, default_grading
+from .psi_space import FracOrder, GridFunction, Mesh, PsiMap, _Frozen, build_mesh, default_grading
 from .rhs_expr import Expr, evaluate, free_variables
 from .specfun import gamma_fn
 
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-class CauchyProblem:
+class CauchyProblem(_Frozen):
     """One scalar Cauchy problem on [a, T].
 
     ``y_a`` is the prescribed value of the complementary integral of y at
@@ -57,7 +57,8 @@ class CauchyProblem:
     their fields are.  ``span`` is psi(T) - psi(a), derived.
     """
 
-    __slots__ = ("psi", "order", "a", "T", "y_a", "rhs", "lipschitz", "span")
+    _args = ("psi", "order", "a", "T", "y_a", "rhs", "lipschitz")
+    __slots__ = (*_args, "span")
 
     def __init__(
         self,
@@ -69,13 +70,7 @@ class CauchyProblem:
         rhs: Expr,
         lipschitz: tuple[float, float] | None = None,
     ):
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "y_a", y_a)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "lipschitz", lipschitz)
+        self._set(psi=psi, order=order, a=a, T=T, y_a=y_a, rhs=rhs, lipschitz=lipschitz)
         if not (math.isfinite(self.a) and math.isfinite(self.T) and self.T > self.a):
             raise DomainError(
                 f"need finite T > a, got a={self.a!r}, T={self.T!r}", key="T"
@@ -94,7 +89,7 @@ class CauchyProblem:
                 f"psi(T) - psi(a) overflows double precision for a={self.a!r}, "
                 f"T={self.T!r}", key="T"
             )
-        object.__setattr__(self, "span", span)
+        self._set(span=span)
         if not math.isfinite(self.y_a):
             raise DomainError(
                 f"initial datum must be finite, got {self.y_a!r}", key="y_a"
@@ -116,39 +111,12 @@ class CauchyProblem:
                     f"Lipschitz constant l must lie in [0, 1), got {l!r}",
                     key="lipschitz.l",
                 )
-            object.__setattr__(self, "lipschitz", (float(k), float(l)))
+            self._set(lipschitz=(float(k), float(l)))
 
     def with_lipschitz(self, lipschitz: tuple[float, float] | None) -> "CauchyProblem":
         """This problem with the constants ``lipschitz`` (or none), checked again."""
         return CauchyProblem(
             self.psi, self.order, self.a, self.T, self.y_a, self.rhs, lipschitz
-        )
-
-    def _key(self) -> tuple:
-        return (self.psi, self.order, self.a, self.T, self.y_a, self.rhs, self.lipschitz)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not CauchyProblem:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return CauchyProblem, self._key()
-
-    def __repr__(self):
-        return (
-            f"CauchyProblem(psi={self.psi!r}, order={self.order!r}, a={self.a!r}, "
-            f"T={self.T!r}, y_a={self.y_a!r}, rhs={self.rhs!r}, "
-            f"lipschitz={self.lipschitz!r})"
         )
 
 

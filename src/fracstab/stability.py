@@ -32,7 +32,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .fraccalc import FracIntegralOperator
-from .psi_space import GridFunction, Mesh, build_mesh
+from .psi_space import GridFunction, Mesh, _Frozen, _is_count, build_mesh
 from .rhs_expr import Expr, evaluate, free_variables, to_source
 from .solver import CauchyProblem, Solution, UniquenessCertificate, certify_unique, picard_solve
 from .specfun import gamma_fn, mittag_leffler
@@ -175,17 +175,17 @@ def lambda_phi_in_force(
 # ---------------------------------------------------------------------------
 # perturbation harness
 
-class PerturbationSpec:
+class PerturbationSpec(_Frozen):
     """How to manufacture admissible perturbations.
 
     Every generated forcing stays within epsilon (plain) or epsilon times
     the comparison function (weighted) at all nodes.  ``random_bounded``
     draws nodewise uniform values and applies one smoothing pass; the
     seed, a non-negative integer, makes each trial reproducible.
-    Immutable.
+    Immutable; equal when all four fields are.
     """
 
-    __slots__ = ("epsilon", "shape", "trials", "seed")
+    __slots__ = _args = ("epsilon", "shape", "trials", "seed")
 
     def __init__(
         self,
@@ -194,35 +194,21 @@ class PerturbationSpec:
         trials: int = 20,
         seed: int = 0,
     ):
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
+        self._set(epsilon=epsilon, shape=shape, trials=trials, seed=seed)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.shape not in PERTURBATION_SHAPES:
             raise DomainError(
                 f"unknown shape {self.shape!r}; expected one of {PERTURBATION_SHAPES}"
             )
+        if not _is_count(self.trials):
+            raise DomainError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise DomainError(f"need at least one trial, got {self.trials!r}")
+        if not _is_count(self.seed):
+            raise DomainError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed!r}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return PerturbationSpec, (self.epsilon, self.shape, self.trials, self.seed)
-
-    def __repr__(self):
-        return (
-            f"PerturbationSpec(epsilon={self.epsilon!r}, shape={self.shape!r}, "
-            f"trials={self.trials!r}, seed={self.seed!r})"
-        )
 
     def check_shape(self, phi: Expr | None) -> None:
         """Refuse a shape that the certificate's comparison function

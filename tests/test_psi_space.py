@@ -140,6 +140,17 @@ def test_build_mesh_validation():
         build_mesh(PsiMap("identity"), -1e308, 1e308, 8)
 
 
+@pytest.mark.parametrize("n", [2.5, 8.0, True, "8"])
+def test_build_mesh_refuses_a_non_integer_n(n):
+    with pytest.raises(DomainError, match=f"^build_mesh needs an integer n, got {n!r}$"):
+        build_mesh(PsiMap("identity"), 0.0, 1.0, n)
+
+
+def test_build_mesh_takes_a_numpy_integer_n():
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, np.int32(8))
+    assert type(mesh.n) is int and mesh.same_as(build_mesh(PsiMap("identity"), 0.0, 1.0, 8))
+
+
 def test_build_mesh_refuses_zero_width_cells():
     # (1/256)**300 underflows: the first offsets would all be 0
     psi = PsiMap("logarithm")

@@ -1,13 +1,15 @@
-"""The public records: keyword construction, immutability, value equality."""
+"""The public records: keyword construction, immutability, equality, repr,
+and copies that run the constructor's checks again."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from fracstab.cli import ProblemFile
-from fracstab.errors import DomainError
+from fracstab.errors import DomainError, FracstabError
 from fracstab.fraccalc import OperatorCheckReport, OperatorCheckRow
 from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh
 from fracstab.rhs_expr import BinOp, Call, Neg, Num, Var, parse_expression
@@ -99,7 +101,6 @@ def test_validated_records_compare_by_value():
     )
     assert same == _PROBLEM and hash(same) == hash(_PROBLEM)
     assert _PROBLEM.with_lipschitz((0.25, 0.0)) != _PROBLEM
-    assert repr(_PSI) == "PsiMap(kind='identity', rho=1.0)"
 
 
 def test_with_lipschitz_checks_the_constants_again():
@@ -110,3 +111,87 @@ def test_with_lipschitz_checks_the_constants_again():
         _PROBLEM.with_lipschitz((0.5, 1.0))
     assert info.value.key == "lipschitz.l"
     assert _PROBLEM.lipschitz == (0.5, 0.0)
+
+
+# the records whose constructors check their arguments, with their reprs
+VALIDATED = {
+    "PsiMap(kind='identity', rho=1.0)": _PSI,
+    "FracOrder(alpha=0.5, beta=0.5)": FracOrder(alpha=0.5, beta=0.5),
+    "GridFunction(mesh=Mesh(psi=PsiMap(kind='identity', rho=1.0), a=0.0, T=1.0, "
+    "n=4, grading=1.0), weight_exp=0.0)": _U,
+    "CauchyProblem(psi=PsiMap(kind='identity', rho=1.0), "
+    "order=FracOrder(alpha=0.5, beta=0.5), a=0.0, T=1.0, y_a=1.0, "
+    "rhs=BinOp(op='*', left=Num(value=0.5), right=Var(name='y')), "
+    "lipschitz=(0.5, 0.0))": _PROBLEM,
+    "PerturbationSpec(epsilon=0.1, shape='random_bounded', trials=20, seed=0)":
+        PerturbationSpec(epsilon=0.1),
+}
+_VALIDATED_IDS = [type(r).__name__ for r in VALIDATED.values()]
+
+
+@pytest.mark.parametrize("text,record", VALIDATED.items(), ids=_VALIDATED_IDS)
+def test_validated_record_repr(text, record):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", VALIDATED.values(), ids=_VALIDATED_IDS)
+def test_validated_record_rebuilds_from_its_arguments(record):
+    cls, args = record.__reduce__()
+    assert cls is type(record)
+    twin = cls(*args)
+    assert repr(twin) == repr(record)
+    if cls is GridFunction:
+        assert twin != record and twin.mesh is record.mesh
+        np.testing.assert_array_equal(twin.values, record.values)
+    else:
+        assert twin == record and hash(twin) == hash(record)
+    if cls is CauchyProblem:
+        assert twin.span == record.span
+
+
+@pytest.mark.parametrize(
+    "record,field,bad",
+    [(_PSI, "kind", "spline"), (FracOrder(0.5, 0.5), "alpha", 2.0), (_U, "weight_exp", 1.0),
+     (_PROBLEM, "y_a", math.inf), (PerturbationSpec(0.1), "epsilon", -0.1)],
+    ids=_VALIDATED_IDS,
+)
+def test_copies_run_the_constructor_checks_again(record, field, bad):
+    broken = copy.copy(record)
+    object.__setattr__(broken, field, bad)
+    for make_copy in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        with pytest.raises(FracstabError, match=repr(bad)):
+            make_copy(broken)
+
+
+def test_validated_records_share_one_frozen_protocol():
+    for cls in (PsiMap, FracOrder, GridFunction, CauchyProblem, PerturbationSpec):
+        own = {"__setattr__", "__delattr__", "__reduce__"} & set(vars(cls))
+        assert not own, f"{cls.__name__} defines {sorted(own)}"
+
+
+def test_grid_functions_compare_by_identity():
+    twin = GridFunction(_MESH, np.ones(5))
+    assert twin != _U and not twin == _U and twin == twin
+    assert hash(twin) == object.__hash__(twin) and len({twin, _U}) == 2
+
+
+def test_perturbation_specs_compare_by_value():
+    spec = PerturbationSpec(0.1, "zero", 3, 7)
+    same = PerturbationSpec(epsilon=0.1, shape="zero", trials=3, seed=7)
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != PerturbationSpec(0.1, "zero", 3, 8)
+    assert spec != (0.1, "zero", 3, 7)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("trials", 2.5), ("trials", 3.0), ("trials", True), ("seed", 1.5),
+                    ("seed", False), ("seed", "1")],
+)
+def test_perturbation_counts_must_be_integers(field, value):
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got {value!r}$"):
+        PerturbationSpec(0.1, **{field: value})
+
+
+def test_perturbation_counts_may_be_numpy_integers():
+    spec = PerturbationSpec(0.1, trials=np.int64(3), seed=np.uint32(7))
+    assert spec == PerturbationSpec(0.1, trials=3, seed=7)

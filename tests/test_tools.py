@@ -147,6 +147,26 @@ def test_line_trace_merges_runs_and_reports_the_rest(tmp_path):
     assert series in never and gamma not in never
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_bench_tables_runner_peaks_below_any_request():
+    # a child's ru_maxrss starts at its spawner's peak, so the runner must
+    # stay under the ~28 MB of the lightest request it measures
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('bench_tables', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "module._jobs()\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(next(l.split()[1] for l in status.splitlines() if l.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "tools" / "bench_tables.py")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert int(proc.stdout) / 1024 < 24.0
+
+
 def test_bench_tables_times_the_import_and_the_small_requests():
     jobs = dict(_bench_tables()._jobs())
     assert jobs[("startup",)] == [[sys.executable, "-c", "import fracstab.cli"]]
