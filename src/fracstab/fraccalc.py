@@ -38,8 +38,10 @@ import math
 import os
 import struct
 import sys
+import weakref
 import zlib
 from collections import OrderedDict
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -147,8 +149,10 @@ _BLOCK_BYTES = 256 << 10
 #: every bit of the square one.  Heights of 36, 50 and 100 changed bits.
 _BLOCK_ROWS = 64
 
-#: A table: its row blocks, ``(r1 - r0) x r1`` each (see ``_block_bounds``).
-_Table = tuple[np.ndarray, ...]
+#: A table: its row blocks in order, ``(r1 - r0) x r1`` each (see
+#: ``_block_bounds``); a built one is a tuple of views of its packed buffer,
+#: a stored one a ``_StoredTable``.
+_Table = Iterable[np.ndarray]
 
 #: Byte budget of the process-wide table cache; the newest table always stays.
 _CACHE_BYTES = 128 << 20
@@ -160,14 +164,6 @@ _STORE_BYTES = 256 << 20
 #: Tables smaller than this (n < 127) skip the store: a plain one builds in
 #: about the time a load takes (0.3 ms), and storing one costs more.
 _STORE_MIN_BYTES = 128 << 10
-
-#: An apply of a table mapped from the store releases the pages it has
-#: read in runs of at least this many bytes, and the rest after its last
-#: block (see ``_MappedTable``).  Each release is a system call that costs
-#: about 10 us; in runs of 1 MiB a table under 1 MiB pays one per apply,
-#: and at most about one block of the widest (1 MiB at n = 2048) and one
-#: run stay resident.
-_RELEASE_BYTES = 1 << 20
 
 #: Gauss-Legendre rules on [0, 1] for the separated cells of a weighted
 #: table, fewest nodes last: ``(separation, nodes s_q, weights w_q)``, the
@@ -216,7 +212,7 @@ class FracIntegralOperator:
     """Lower-triangular quadrature tables for one mesh and one order.
 
     One table per input weight exponent, fetched on first use from a
-    process-wide cache, which maps it from the on-disk store or builds it;
+    process-wide cache, which finds it in the on-disk store or builds it;
     tables are shared between operators and read-only.  Entry ``[i, j]``
     multiplies the stored value at node ``j`` when evaluating the integral
     at node ``i``; row 0 is identically zero, and so is every entry with
@@ -224,16 +220,15 @@ class FracIntegralOperator:
     ``(psi(t_i) - psi(a))**alpha / gamma(alpha + 1)`` up to rounding,
     which is the exactness-on-constants property the tests pin down.
 
-    A table is a tuple of read-only row blocks (``_block_bounds``): block
-    ``k`` holds rows ``[r0, r1)`` and columns ``[0, r1)``, about half of
-    the ``(n+1)**2`` square (17.3 MB instead of 33.6 MB at n = 2048).  The
-    blocks view one packed buffer, built or mapped from the store.  An
-    apply of a mapped table releases the pages it has reduced
-    (``_MappedTable``), so about 1 MiB of it stays resident and the next
-    apply reads the rest back from the page cache; a table built in
-    memory is never released.  A weighted build fills the square first,
-    so ``build_mesh`` refuses meshes whose square would exceed 1 GiB
-    (n > 11584).
+    A table is its read-only row blocks (``_block_bounds``): block ``k``
+    holds rows ``[r0, r1)`` and columns ``[0, r1)``, about half of the
+    ``(n+1)**2`` square (17.3 MB instead of 33.6 MB at n = 2048).  A built
+    table's blocks view one packed buffer in memory.  A table found in the
+    store stays in its file (``_StoredTable``): each apply reads the blocks
+    in order into one buffer the size of the widest (1 MiB at n = 2048),
+    so no more of it is ever resident.  A weighted build fills the square
+    first, so ``build_mesh`` refuses meshes whose square would exceed
+    1 GiB (n > 11584).
     """
 
     def __init__(self, mesh: Mesh, alpha: float):
@@ -295,65 +290,14 @@ def _matvec(blocks: _Table, u: np.ndarray) -> np.ndarray:
     of 32 that gives the bits of the square product.  ``optimize`` must stay
     off: the optimized ``einsum`` path hands the product back to BLAS, whose
     ``dgemv`` summation order depends on the BLAS build and moved reported
-    certificates by an ulp.  A ``_MappedTable`` releases its pages as the
-    blocks are reduced, so about 1 MiB of it is resident at a time.
+    certificates by an ulp.  A ``_StoredTable`` reads each block from its
+    file as the loop reaches it, into the buffer of the block before.
     """
     out = np.empty(u.shape[0])
-    release = blocks.release if isinstance(blocks, _MappedTable) else None
-    for k, block in enumerate(blocks):
+    for block in blocks:
         r1 = block.shape[1]
         np.einsum("ij,j->i", block, u[:r1], out=out[r1 - block.shape[0]:r1])
-        if release is not None:
-            release(k)
     return out
-
-
-class _MappedTable(tuple):
-    """The row blocks of a table that ``_load_table`` mapped from the store.
-
-    ``release(k)`` drops from the process, by ``MADV_DONTNEED``, the whole
-    pages of the table that end by block ``k``'s last byte and were not
-    dropped before, once they make up ``_RELEASE_BYTES`` or ``k`` is the
-    last block.  The mapping is a shared read-only one of the store's
-    file, so the next apply faults them back in from the page cache with
-    the same bits, and page-cache memory is not part of the process's RSS.
-    On an anonymous mapping, or memory from ``malloc``, the release would
-    read back zeros, so a table built in memory is a plain tuple.
-    """
-
-    def release(self, k: int) -> None:
-        span = self.spans[k]
-        if span is not None:
-            self.madvise(self.dontneed, *span)
-
-
-def _mapped_table(packed: np.ndarray, n: int) -> _Table:
-    """The blocks of a packed table that ``_load_table`` mapped, as a
-    ``_MappedTable``; a plain tuple where ``mmap`` cannot release pages
-    (Windows)."""
-    import mmap  # np.load imported it to map the table
-
-    table = _blocks(packed, n)
-    mapping = packed  # the mmap of np.load's memmap ends the chain of bases
-    while isinstance(mapping, np.ndarray):
-        mapping = mapping.base
-    dontneed = getattr(mmap, "MADV_DONTNEED", None)
-    if dontneed is None:
-        return table
-    base = np.frombuffer(mapping, np.uint8).__array_interface__["data"][0]
-    page = mmap.PAGESIZE
-    done = -(-(packed.__array_interface__["data"][0] - base) // page) * page
-    spans = []
-    for k, block in enumerate(table):
-        end = (block.__array_interface__["data"][0] + block.nbytes - base) // page * page
-        if end - done >= _RELEASE_BYTES or (k == len(table) - 1 and end > done):
-            spans.append((done, end - done))
-            done = end
-        else:
-            spans.append(None)
-    mapped = _MappedTable(table)
-    mapped.madvise, mapped.dontneed, mapped.spans = mapping.madvise, dontneed, spans
-    return mapped
 
 
 def _pow_diffs(B: np.ndarray, A: np.ndarray, exponents) -> list[np.ndarray]:
@@ -399,7 +343,7 @@ def _packed_size(n: int) -> int:
     return sum((r1 - r0) * r1 for r0, r1 in _block_bounds(n))
 
 
-def _blocks(packed: np.ndarray, n: int) -> _Table:
+def _blocks(packed: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """The row blocks of an ``(n+1)``-row table, as views of its packed buffer."""
     blocks, start = [], 0
     for r0, r1 in _block_bounds(n):
@@ -410,9 +354,11 @@ def _blocks(packed: np.ndarray, n: int) -> _Table:
 
 
 def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
-    """The read-only table from ``_cache``; on a miss it is mapped from the
-    on-disk store, as a ``_MappedTable``, or built and then stored.
+    """The read-only table from ``_cache``; on a miss it is read from the
+    on-disk store, as a ``_StoredTable``, or built and then stored.
 
+    The cache counts a table's packed bytes, also for a stored table, which
+    holds an open file instead, so the files held stay bounded too.
     Eviction drops the cache's reference only; operators keep their own.
     """
     key = (mesh.offsets.tobytes(), alpha, weight_exp)
@@ -421,10 +367,8 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
         _cache.move_to_end(key)
         return hit[0]
     use_store = 8 * (mesh.n + 1) ** 2 >= _STORE_MIN_BYTES
-    packed = _load_table(key, mesh.n) if use_store else None
-    if packed is not None:
-        table = _mapped_table(packed, mesh.n)
-    else:
+    table = _load_table(key, mesh.n) if use_store else None
+    if table is None:
         if weight_exp == 0.0:
             packed = _build_plain_table(mesh, alpha)
         else:
@@ -433,7 +377,7 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
         if use_store:
             _save_table(key, mesh.n, packed)
         table = _blocks(packed, mesh.n)
-    _cache[key] = table, packed.nbytes
+    _cache[key] = table, 8 * _packed_size(mesh.n)
     held = sum(nbytes for _, nbytes in _cache.values())
     while held > _CACHE_BYTES and len(_cache) > 1:
         held -= _cache.popitem(last=False)[1][1]
@@ -451,8 +395,10 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
 # the machine and the C library), and a load compares all of it, so a hit
 # returns the very bits a fresh build would.  A file is synced to disk
 # before it gets its name.  The file name is a digest of the key and only
-# names the file.  Every failure of the store is a miss: the table is then
-# built in memory, and nothing is reported.
+# names the file.  Every failure of the store while it is searched is a
+# miss: the table is then built in memory, and nothing is reported.  A
+# file found stays open, and each apply reads its blocks again; one that
+# has lost bytes since then fails that apply with an ``OSError``.
 
 _STORE_ERRORS = (OSError, ValueError, EOFError)
 
@@ -520,19 +466,58 @@ def _store_dir() -> str:
     return path
 
 
-def _load_table(key: tuple[bytes, float, float], n: int) -> np.ndarray | None:
-    """The stored packed table for ``key``, mapped read-only, or None on a miss."""
+def _load_table(key: tuple[bytes, float, float], n: int) -> _StoredTable | None:
+    """The stored table for ``key``, its file open and checked, or None on a miss.
+
+    The file must hold a version 1.0 ``.npy`` header of the record's dtype
+    and shape ``()``, then the key bytes, then exactly the table's doubles.
+    """
     try:
         name, raw, dtype = _store_entry(key, n)
         path = os.path.join(_store_dir(), name)
-        stored = np.load(path, mmap_mode="r", allow_pickle=False)
-        if (not isinstance(stored, np.memmap) or stored.shape != ()
-                or stored.dtype != dtype or stored["key"].tobytes() != raw):
-            return None
-        os.utime(path)  # eviction goes by last use
-        return stored["table"].view(np.ndarray)
+        f = open(path, "rb", buffering=0)
     except _STORE_ERRORS:
         return None
+    try:
+        if np.lib.format.read_magic(f) == (1, 0):
+            shape, _, stored = np.lib.format.read_array_header_1_0(f)
+            size = f.tell() + dtype.itemsize
+            if (shape == () and stored == dtype and os.fstat(f.fileno()).st_size == size
+                    and f.read(len(raw)) == raw):
+                os.utime(path)  # eviction goes by last use
+                return _StoredTable(f, f.tell(), n)
+    except _STORE_ERRORS:
+        pass
+    f.close()
+    return None
+
+
+class _StoredTable:
+    """The row blocks of a table in the store, read from its open file.
+
+    Each pass reads the blocks in order, each with one ``seek`` and one
+    ``readinto``, into a buffer the size of the widest block, and yields
+    it read-only; the next block overwrites it.  A file that ends early
+    raises ``OSError`` before its block is yielded.  The file closes when
+    the table is dropped.
+    """
+
+    def __init__(self, f, start: int, n: int):
+        self._file, self._start, self._bounds = f, start, _block_bounds(n)
+        weakref.finalize(self, f.close)
+
+    def __iter__(self):
+        f, pos = self._file, self._start
+        buf = np.empty(max((r1 - r0) * r1 for r0, r1 in self._bounds))
+        for r0, r1 in self._bounds:
+            flat = buf[:(r1 - r0) * r1]
+            f.seek(pos)
+            if f.readinto(flat) != flat.nbytes:
+                raise OSError(f"table store file {f.name} is shorter than when it was opened")
+            pos += flat.nbytes
+            block = flat.reshape(r1 - r0, r1)
+            block.flags.writeable = False
+            yield block
 
 
 def _save_table(key: tuple[bytes, float, float], n: int, packed: np.ndarray) -> None:

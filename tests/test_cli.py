@@ -597,9 +597,9 @@ def test_requests_leave_dataclasses_unimported(tmp_path):
 
 
 def test_requests_leave_mmap_unimported(tmp_path):
-    # only a table mapped from the store needs mmap: certify's tables and
-    # the n = 64 solve's lie below the store's n >= 127 floor, while an
-    # n = 128 solve maps its table once the store holds it
+    # no table is mapped: certify's tables and the n = 64 solve's lie below
+    # the store's n >= 127 floor, the first n = 128 solve builds and stores
+    # its table, and the second reads it from the store
     script = (
         "import contextlib, io, sys\n"
         "from fracstab import fraccalc\n"
@@ -609,16 +609,16 @@ def test_requests_leave_mmap_unimported(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        return main(list(argv))\n"
         "codes = [run('certify', sys.argv[1], '--json'), run('solve', sys.argv[1], '--n', '64')]\n"
-        "before = 'mmap' in sys.modules\n"
         "codes += [run('solve', sys.argv[1], '--n', '128') for _ in range(2)]\n"
-        "print(codes, before, 'mmap' in sys.modules)\n"
+        "(stored, _), = fraccalc._cache.values()\n"
+        "print(codes, type(stored).__name__, 'mmap' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(PROBLEMS / "example1.json")],
         capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False True"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] _StoredTable False"
 
 
 def test_solve_reports_estimated_factor(capsys, tmp_path):

@@ -1,10 +1,12 @@
 """The on-disk table store: hits return the bits of a fresh build, and no
 failure of the store changes what a request prints or returns."""
 
-import mmap
+import gc
 import os
 import subprocess
 import sys
+import warnings
+import weakref
 from collections import OrderedDict
 from types import SimpleNamespace
 
@@ -72,19 +74,23 @@ def test_hit_equals_fresh_build(store, n, weight_exp):
         fresh = fraccalc._build_weighted_table(mesh, 0.5, 1.0 - weight_exp)
     square = square_table(fresh, n)
     bounds = fraccalc._block_bounds(n)
-    assert len(built) == len(loaded) == len(bounds)
-    for (r0, r1), block, mapped in zip(bounds, built, loaded):
-        assert mapped.flags.writeable is False and mapped.flags.aligned
+    buffers = []
+    for (r0, r1), block, stored in zip(bounds, built, loaded, strict=True):
+        assert stored.flags.writeable is False and stored.flags.aligned
         assert block.flags.writeable is False
-        assert mapped.dtype == fresh.dtype and np.array_equal(mapped, square[r0:r1, :r1])
-        assert np.array_equal(block, mapped)
-    # built and mapped tables are both views of one packed buffer of
-    # _packed_size(n) doubles: the one its build returned, and the file's
+        assert stored.dtype == fresh.dtype and np.array_equal(stored, square[r0:r1, :r1])
+        assert np.array_equal(block, stored)
+        buffers.append(_owner(stored))
+    # a built table's blocks view the one packed buffer of _packed_size(n)
+    # doubles that its build returned; a stored table reads every block of
+    # a pass into one buffer, as large as the widest block
     size = fraccalc._packed_size(n)
-    assert _packed_doubles(built) == _packed_doubles(loaded) == size
+    assert _packed_doubles(built) == size
     packed = _owner(built[0])
     assert packed.shape == (size,) and all(_owner(b) is packed for b in built)
-    assert isinstance(_owner(loaded[0]), mmap.mmap)
+    assert isinstance(loaded, fraccalc._StoredTable)
+    assert all(b is buffers[0] for b in buffers)
+    assert buffers[0].shape == (max((r1 - r0) * r1 for r0, r1 in bounds),)
 
 
 def test_full_square_record_is_a_miss(store):
@@ -104,12 +110,10 @@ def test_full_square_record_is_a_miss(store):
     table = fraccalc._shared_table(mesh, 0.5, 0.0)
     assert _files(store) == [name]
     fraccalc._cache.clear()
-    packed = fraccalc._load_table(key, n)
-    assert packed is not None
-    loaded = fraccalc._blocks(packed, n)
-    assert len(loaded) == 3
-    for (r0, r1), block, mapped in zip(fraccalc._block_bounds(n), table, loaded):
-        assert np.array_equal(mapped, square[r0:r1, :r1]) and np.array_equal(block, mapped)
+    loaded = fraccalc._load_table(key, n)
+    assert loaded is not None and len(fraccalc._block_bounds(n)) == 3
+    for (r0, r1), block, stored in zip(fraccalc._block_bounds(n), table, loaded, strict=True):
+        assert np.array_equal(stored, square[r0:r1, :r1]) and np.array_equal(block, stored)
 
 
 def test_stored_table_holds_its_blocks_only(store):
@@ -118,11 +122,12 @@ def test_stored_table_holds_its_blocks_only(store):
     fraccalc._shared_table(mesh, 0.5, 0.0)
     (name,) = _files(store)
     assert (store / name).stat().st_size <= 0.53 * 8 * (n + 1) ** 2
-    # the mapped table applied to ones keeps the bits of the square product
+    # the stored table applied to ones keeps the bits of the square product
     fraccalc._cache.clear()
     ones = np.ones(n + 1)
     got = fraccalc.FracIntegralOperator(mesh, 0.5).apply(GridFunction(mesh, ones, 0.0)).values
-    assert isinstance(_owner(fraccalc._cache[(mesh.offsets.tobytes(), 0.5, 0.0)][0][0]), mmap.mmap)
+    table = fraccalc._cache[(mesh.offsets.tobytes(), 0.5, 0.0)][0]
+    assert isinstance(table, fraccalc._StoredTable)
     want = np.einsum("ij,j->i", square_table(fraccalc._build_plain_table(mesh, 0.5), n), ones)
     want[0] = 0.0
     assert np.array_equal(got, want)
@@ -140,22 +145,18 @@ def peak():
     with open("/proc/self/status") as f:
         return next(1024 * int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
 mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 2048, grading=2.0)
-op = fraccalc.FracIntegralOperator(mesh, 0.5)
-op._table(0.0)
-mapped = peak()
 u = GridFunction(mesh, np.cos(mesh.nodes), 0.0)
+before = peak()
+op = fraccalc.FracIntegralOperator(mesh, 0.5)
 outs = [op.apply(u).values for _ in range(8)]
-rise = peak() - mapped
+rise = peak() - before
 np.save(sys.argv[1], np.array(outs))
-print(isinstance(op._table(0.0), fraccalc._MappedTable), rise)
+print(isinstance(op._table(0.0), fraccalc._StoredTable), rise)
 """
 
 
-@pytest.mark.skipif(
-    not (sys.platform.startswith("linux") and hasattr(mmap, "MADV_DONTNEED")),
-    reason="needs MADV_DONTNEED and /proc/self/status (Linux)",
-)
-def test_mapped_table_keeps_one_block_resident(store, tmp_path):
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status (Linux)")
+def test_stored_table_keeps_one_block_resident(store, tmp_path):
     n = 2048
     mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=2.0)
     fraccalc._shared_table(mesh, 0.5, 0.0)
@@ -164,11 +165,11 @@ def test_mapped_table_keeps_one_block_resident(store, tmp_path):
     proc = subprocess.run([sys.executable, "-c", RESIDENCY, str(outs)], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    released, rise = proc.stdout.split()
-    # without the release, the 8 applies fault in the whole table; the
-    # kernel's peak counter lags the resident set by a few MB
-    table_bytes = 8 * fraccalc._packed_size(n)
-    assert released == "True" and int(rise) < table_bytes / 2, (rise, table_bytes)
+    stored, rise = proc.stdout.split()
+    # the load and each apply read the 17 MB table through one buffer of
+    # its widest block (1 MiB); holding the table would raise the peak by it
+    widest = 8 * max((r1 - r0) * r1 for r0, r1 in fraccalc._block_bounds(n))
+    assert stored == "True" and int(rise) < 2 * widest, (rise, widest)
     got = np.load(outs)
     want = np.einsum("ij,j->i", square_table(fraccalc._build_plain_table(mesh, 0.5), n),
                      np.cos(mesh.nodes))
@@ -197,28 +198,82 @@ def _stored(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("setup", [_below_the_floor, _unusable_store, _stored])
-def test_only_store_mapped_tables_are_released(monkeypatch, tmp_path, setup):
-    # releasing an anonymous mapping would read back zeros; a table mapped
-    # from the store reads back its own bits
+def test_only_stored_tables_are_read_on_every_apply(monkeypatch, tmp_path, setup):
+    # a table found in the store is read from its file by every apply, to
+    # the file's end, and keeps its bits; any other is held in memory
     monkeypatch.setattr(fraccalc, "_cache", OrderedDict())
     n = setup(monkeypatch, tmp_path)
-    released = []
-    release = fraccalc._MappedTable.release
-    monkeypatch.setattr(fraccalc._MappedTable, "release",
-                        lambda table, k: released.append(k) or release(table, k))
     mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=2.0)
     op = fraccalc.FracIntegralOperator(mesh, 0.5)
     u = np.cos(mesh.nodes)
     want = np.einsum("ij,j->i", square_table(fraccalc._build_plain_table(mesh, 0.5), n), u)
     want[0] = 0.0
+    table = op._table(0.0)
+    stored = setup is _stored
+    assert isinstance(table, fraccalc._StoredTable) is stored
+    assert (type(table) is tuple) is not stored
     for _ in range(3):
+        if stored:
+            table._file.seek(0)
         assert np.array_equal(op.apply(GridFunction(mesh, u, 0.0)).values, want)
-    mapped = setup is _stored
-    assert isinstance(_owner(op._table(0.0)[0]), mmap.mmap) is mapped
-    if not (mapped and hasattr(mmap, "MADV_DONTNEED")):
-        assert released == [] and type(op._table(0.0)) is tuple
-    else:
-        assert released == list(range(len(fraccalc._block_bounds(n)))) * 3
+        if stored:
+            assert table._file.tell() == os.fstat(table._file.fileno()).st_size
+
+
+TRUNCATED = """
+import os, sys
+from fracstab import fraccalc
+from fracstab.cli import main
+applies = 0
+def matvec(blocks, u):
+    global applies
+    applies += 1
+    if applies == 2:
+        with os.scandir(os.path.join(os.environ["XDG_CACHE_HOME"], "fracstab", "tables")) as store:
+            for entry in store:
+                os.truncate(entry.path, entry.stat().st_size // 2)
+    return apply(blocks, u)
+apply, fraccalc._matvec = fraccalc._matvec, matvec
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_file_truncated_in_use_fails_the_request_in_one_line(tmp_path):
+    # the first run stores the table, the second reads it and loses half of
+    # the file between its first and second apply
+    argv = ["solve", str(PROBLEMS / "example1.json"), "--n", "512"]
+    runs = [subprocess.run([sys.executable, *script, *argv], capture_output=True, text=True,
+                           timeout=120, env=_env(XDG_CACHE_HOME=str(tmp_path)))
+            for script in (["-m", "fracstab"], ["-c", TRUNCATED])]
+    assert runs[0].returncode == 0, runs[0].stderr
+    proc = runs[1]
+    # the short read fails the request, not the process
+    assert proc.returncode == 2, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: table store file ") and "shorter" in line
+    assert proc.stdout == ""
+
+
+def test_dropped_stored_table_closes_its_file(store, monkeypatch):
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 200, grading=2.0)
+    fraccalc._shared_table(mesh, 0.5, 0.0)
+    fraccalc._cache.clear()
+    op = fraccalc.FracIntegralOperator(mesh, 0.5)
+    op.apply(GridFunction(mesh, np.ones(mesh.n + 1), 0.0))
+    assert isinstance(op._table(0.0), fraccalc._StoredTable)
+    file = weakref.ref(op._table(0.0)._file)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        # with no budget the cache keeps only the newest table, so a second
+        # evicts the first
+        monkeypatch.setattr(fraccalc, "_CACHE_BYTES", 0)
+        fraccalc._shared_table(build_mesh(PsiMap("identity"), 0.0, 1.0, 64), 0.5, 0.0)
+        assert len(fraccalc._cache) == 1
+        del op
+        gc.collect()
+    assert file() is None and unraisable == []
 
 
 COLD_WARM = """
@@ -265,6 +320,11 @@ def _empty(path):
     path.write_bytes(b"")
 
 
+def _appended(path):
+    with open(path, "ab") as f:
+        f.write(bytes(8))
+
+
 def _wrong_shape(path):
     np.save(path, np.zeros((3, 3)))
 
@@ -281,7 +341,8 @@ def _wrong_key(path):
     path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("damage", [_truncate, _empty, _wrong_shape, _zip_archive, _wrong_key])
+@pytest.mark.parametrize("damage", [_truncate, _empty, _appended, _wrong_shape, _zip_archive,
+                                    _wrong_key])
 def test_damaged_file_is_a_miss(store, capsys, damage):
     argv = ["solve", str(PROBLEMS / "example1.json"), "--n", "64"]
     assert main(argv) == 0
