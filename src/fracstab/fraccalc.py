@@ -211,7 +211,7 @@ _cache: OrderedDict[tuple[bytes, float, float], tuple[_Table, int]] = OrderedDic
 class FracIntegralOperator:
     """Lower-triangular quadrature tables for one mesh and one order.
 
-    One table per input weight exponent, fetched on first use from a
+    One table per input weight exponent, fetched by every apply from a
     process-wide cache, which finds it in the on-disk store or builds it;
     tables are shared between operators and read-only.  Entry ``[i, j]``
     multiplies the stored value at node ``j`` when evaluating the integral
@@ -236,15 +236,6 @@ class FracIntegralOperator:
             raise DomainError(f"integral order must be positive, got {alpha!r}")
         self.mesh = mesh
         self.alpha = float(alpha)
-        self._tables: dict[float, _Table] = {}
-
-    def _table(self, weight_exp: float) -> _Table:
-        """The table for input stored with ``weight_exp``, fetched on first use."""
-        table = self._tables.get(weight_exp)
-        if table is None:
-            table = _shared_table(self.mesh, self.alpha, weight_exp)
-            self._tables[weight_exp] = table
-        return table
 
     def apply(self, u: GridFunction) -> GridFunction:
         """Integrate ``u``.
@@ -263,7 +254,7 @@ class FracIntegralOperator:
         """
         if not u.mesh.same_as(self.mesh):
             raise ContractError("grid function lives on a different mesh")
-        out = _matvec(self._table(u.weight_exp), u.values)
+        out = _matvec(_shared_table(self.mesh, self.alpha, u.weight_exp), u.values)
         if u.weight_exp == 0.0:
             out[0] = 0.0
             return GridFunction(self.mesh, out, 0.0)
@@ -358,8 +349,9 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
     on-disk store, as a ``_StoredTable``, or built and then stored.
 
     The cache counts a table's packed bytes, also for a stored table, which
-    holds an open file instead, so the files held stay bounded too.
-    Eviction drops the cache's reference only; operators keep their own.
+    holds an open file instead, so the files held stay bounded too.  It is
+    a table's only holder between applies, so eviction frees a built table
+    and closes a stored one's file.
     """
     key = (mesh.offsets.tobytes(), alpha, weight_exp)
     hit = _cache.get(key)
@@ -387,9 +379,9 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
 # ---------------------------------------------------------------------------
 # the on-disk table store
 #
-# One ``.npy`` file per table under ``$XDG_CACHE_HOME/fracstab/tables``
-# (``~/.cache/fracstab/tables`` by default), holding a single record: the
-# exact key, then the table's row blocks, one after another.  The key is
+# One ``.tbl`` file per table under ``$XDG_CACHE_HOME/fracstab/tables``
+# (``~/.cache/fracstab/tables`` by default): the exact key's bytes, then the
+# doubles of the table's row blocks, one after another.  The key is
 # the in-process one plus a build stamp (the sources that compute a table,
 # numpy's version, the CPU features numpy dispatches to, the Python build,
 # the machine and the C library), and a load compares all of it, so a hit
@@ -399,8 +391,6 @@ def _shared_table(mesh: Mesh, alpha: float, weight_exp: float) -> _Table:
 # miss: the table is then built in memory, and nothing is reported.  A
 # file found stays open, and each apply reads its blocks again; one that
 # has lost bytes since then fails that apply with an ``OSError``.
-
-_STORE_ERRORS = (OSError, ValueError, EOFError)
 
 #: The build stamp and its CRC-32, read on first use.
 _stamp: tuple[bytes, int] | None = None
@@ -435,21 +425,17 @@ def _build_stamp() -> tuple[bytes, int]:
     return _stamp
 
 
-def _store_entry(key: tuple[bytes, float, float], n: int) -> tuple[str, bytes, np.dtype]:
-    """File name, stored key bytes and record dtype of ``key``'s table.
+def _store_entry(key: tuple[bytes, float, float], n: int) -> tuple[str, bytes]:
+    """File name and stored key bytes of ``key``'s table.
 
-    The record is the key, zero-padded to 64 bytes, then the doubles of the
-    row blocks of ``_block_bounds(n)``, each ``(r1 - r0) x r1`` in row
-    order: about half of the ``(n+1)**2`` square.  The padding keeps the
-    blocks, which follow the 64-byte aligned ``.npy`` header, aligned.
+    The file holds these bytes, then the doubles of the row blocks of
+    ``_block_bounds(n)``, each ``(r1 - r0) x r1`` in row order: about half
+    of the ``(n+1)**2`` square.
     """
     offsets, alpha, weight_exp = key
     stamp, crc = _build_stamp()
     tail = _packed([offsets, struct.pack("<dd", alpha, weight_exp)])
-    name = f"{n}-{zlib.crc32(tail, crc):08x}.npy"
-    raw = stamp + tail + bytes(-(len(stamp) + len(tail)) % 64)
-    dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (_packed_size(n),))])
-    return name, raw, dtype
+    return f"{n}-{zlib.crc32(tail, crc):08x}.tbl", stamp + tail
 
 
 def _store_dir() -> str:
@@ -469,24 +455,20 @@ def _store_dir() -> str:
 def _load_table(key: tuple[bytes, float, float], n: int) -> _StoredTable | None:
     """The stored table for ``key``, its file open and checked, or None on a miss.
 
-    The file must hold a version 1.0 ``.npy`` header of the record's dtype
-    and shape ``()``, then the key bytes, then exactly the table's doubles.
+    The file must hold the key bytes, then exactly the table's doubles.
     """
     try:
-        name, raw, dtype = _store_entry(key, n)
+        name, raw = _store_entry(key, n)
         path = os.path.join(_store_dir(), name)
         f = open(path, "rb", buffering=0)
-    except _STORE_ERRORS:
+    except OSError:
         return None
     try:
-        if np.lib.format.read_magic(f) == (1, 0):
-            shape, _, stored = np.lib.format.read_array_header_1_0(f)
-            size = f.tell() + dtype.itemsize
-            if (shape == () and stored == dtype and os.fstat(f.fileno()).st_size == size
-                    and f.read(len(raw)) == raw):
-                os.utime(path)  # eviction goes by last use
-                return _StoredTable(f, f.tell(), n)
-    except _STORE_ERRORS:
+        if (os.fstat(f.fileno()).st_size == len(raw) + 8 * _packed_size(n)
+                and f.read(len(raw)) == raw):
+            os.utime(path)  # eviction goes by last use
+            return _StoredTable(f, len(raw), n)
+    except OSError:
         pass
     f.close()
     return None
@@ -499,7 +481,7 @@ class _StoredTable:
     ``readinto``, into a buffer the size of the widest block, and yields
     it read-only; the next block overwrites it.  A file that ends early
     raises ``OSError`` before its block is yielded.  The file closes when
-    the table is dropped.
+    the table is dropped, which ``_cache`` does when it evicts it.
     """
 
     def __init__(self, f, start: int, n: int):
@@ -524,15 +506,13 @@ def _save_table(key: tuple[bytes, float, float], n: int, packed: np.ndarray) -> 
     """Store the packed table atomically, then evict the oldest files over budget."""
     tmp = None
     try:
-        name, raw, dtype = _store_entry(key, n)
-        if dtype.itemsize > _STORE_BYTES:
+        name, raw = _store_entry(key, n)
+        if len(raw) + packed.nbytes > _STORE_BYTES:
             return
         store = _store_dir()
         path = os.path.join(store, name)
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "wb") as f:
-            header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": ()}
-            np.lib.format.write_array_header_1_0(f, header)
             f.write(raw)
             f.write(packed)
             # on disk before the rename, so a crash cannot leave a named file
@@ -541,7 +521,7 @@ def _save_table(key: tuple[bytes, float, float], n: int, packed: np.ndarray) -> 
         os.replace(tmp, path)
         tmp = None
         _evict(store, path)
-    except _STORE_ERRORS:
+    except OSError:
         if tmp is not None:
             try:
                 os.unlink(tmp)

@@ -1,5 +1,6 @@
 """Shared helpers: loading the bundled worked problems, the square of a
-packed quadrature table, and a private table store for the whole session."""
+packed quadrature table, the environment of a subprocess that runs this
+tree's package, and a private table store for the whole session."""
 
 import os
 import pathlib
@@ -17,6 +18,14 @@ PROBLEMS = ROOT / "problems"
 
 def load_example(index: int) -> ProblemFile:
     return load_problem(str(PROBLEMS / f"example{index}.json"))
+
+
+def cli_env(**extra) -> dict:
+    """``os.environ`` with ``extra`` added and ``src`` first on
+    ``PYTHONPATH``, so a subprocess imports this tree's ``fracstab``."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def square_table(packed: np.ndarray, n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from fracstab.psi_space import PSI_KINDS, build_mesh, default_grading
 from fracstab.rhs_expr import MAX_DEPTH
 from fracstab.solver import certify_unique, picard_solve
 
-from conftest import PROBLEMS, ROOT, load_example
+from conftest import PROBLEMS, ROOT, cli_env, load_example
 
 BASE_DOC = {
     "psi": {"kind": "identity"},
@@ -231,10 +231,7 @@ def test_negative_exponent_option_value_reaches_validation(capsys):
 def test_package_runs_as_module():
     # `python -m fracstab` goes through the package's __main__ without the
     # runpy warning that re-executing an already imported module gives
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    env = cli_env()
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracstab",
          "specfun", "gamma", "0.5"],
@@ -247,10 +244,7 @@ def test_package_runs_as_module():
 def test_specfun_overflowing_series_exits_cleanly():
     # at z = 30 the partial sums overflow and the Kahan step meets inf - inf;
     # the finiteness check reports it, and numpy prints no warning
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    env = cli_env()
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracstab",
          "specfun", "ml", "0.5", "30"],
@@ -390,10 +384,7 @@ def test_solve_oversized_n_exits_two(capsys):
 
 def test_solve_too_steep_grading_exits_two():
     # refused when the mesh is built, before numpy meets a zero-width cell
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    env = cli_env()
     for i in (5, 7):
         proc = subprocess.run(
             [sys.executable, "-m", "fracstab", "solve",
@@ -415,14 +406,6 @@ def test_solve_too_steep_grading_exits_two():
     )
     assert proc.returncode == 0, proc.stderr
     assert "Warning" not in proc.stderr
-
-
-def _cli_env(**extra) -> dict:
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return env
 
 
 def _solved(index: int, n: int):
@@ -515,7 +498,7 @@ def test_csv_writing_memory_is_bounded():
 def test_lost_output_exits_with_one_error_line(sink, unbuffered, n):
     # a closed pipe fails the first write, or the interpreter's last flush
     # when the rows fit in stdout's buffer; either is one error line
-    env = _cli_env(PYTHONUNBUFFERED=unbuffered)
+    env = cli_env(PYTHONUNBUFFERED=unbuffered)
     argv = [sys.executable, "-m", "fracstab", "solve",
             str(PROBLEMS / "example7.json"), "--n", str(n)]
     if sink == "closed pipe":
@@ -555,70 +538,62 @@ def test_certify_estimates_missing_constants(capsys, tmp_path):
     assert info["l"] == pytest.approx(declared["l"], abs=1e-4)
 
 
-def test_estimated_constants_leave_numpy_ma_unimported(tmp_path):
-    # numpy.ma is slow to import and estimating the constants needs none of
-    # it, so a certify without declared constants never loads it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    script = (
-        "import sys\n"
-        "from fracstab.cli import main\n"
-        "code = main(['certify', sys.argv[1]])\n"
-        "print(code, 'numpy.ma' in sys.modules)\n"
-    )
+# The requests of the test below, in one process: a certify without
+# constants, a certify --json, a solve with --out below the store's n >= 127
+# floor, and two n = 128 solves, the first of which stores its table and
+# the second reads it back.  Each request starts with an empty in-process
+# cache.
+REQUESTS = """
+import contextlib, io, json, sys
+import numpy
+numpy_loads_tempfile = "tempfile" in sys.modules
+from fracstab import fraccalc
+from fracstab.cli import main
+estimated, example1, example5, csv = sys.argv[1:]
+def run(*argv):
+    fraccalc._cache.clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return main(list(argv)), out.getvalue()
+runs = [run("certify", estimated), run("certify", example5, "--json"),
+        run("solve", example1, "--n", "64", "--out", csv)]
+runs += [run("solve", example1, "--n", "128") for _ in range(2)]
+(stored, _), = fraccalc._cache.values()
+print(json.dumps({
+    "codes": [code for code, _ in runs],
+    "estimated": "(estimated)" in runs[0][1],
+    "stored": type(stored).__name__,
+    "imported": [m for m in ("numpy.ma", "dataclasses", "mmap", "hashlib") if m in sys.modules],
+    "tempfile_from_numpy_only": ("tempfile" in sys.modules) == numpy_loads_tempfile,
+}))
+"""
+
+
+def test_requests_leave_slow_modules_unimported(tmp_path):
+    # none of these modules is needed, and each costs every request:
+    # numpy.ma 12-35 ms of import (estimating constants needs none of it),
+    # dataclasses about 20 ms of generated methods (the records are plain
+    # classes), hashlib 3.6 MB of OpenSSL (the store names files by CRC-32);
+    # mmap would mean a table is mapped, which none is, and tempfile must
+    # come from numpy if at all, never from the store
     proc = subprocess.run(
-        [sys.executable, "-c", script, _without_constants(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", REQUESTS, _without_constants(tmp_path),
+         str(PROBLEMS / "example1.json"), str(PROBLEMS / "example5.json"),
+         str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=cli_env(XDG_CACHE_HOME=str(tmp_path)), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "(estimated)" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "0 False"
-
-
-def test_requests_leave_dataclasses_unimported(tmp_path):
-    # the records are plain classes: generating dataclass methods at import
-    # cost each request about 20 ms
-    script = (
-        "import sys\n"
-        "from fracstab.cli import main\n"
-        "codes = [main(['certify', sys.argv[1], '--json']),\n"
-        "         main(['solve', sys.argv[2], '--n', '64', '--out', sys.argv[3]])]\n"
-        "print(codes, 'dataclasses' in sys.modules)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(PROBLEMS / "example5.json"),
-         str(PROBLEMS / "example1.json"), str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=_cli_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
-
-
-def test_requests_leave_mmap_unimported(tmp_path):
-    # no table is mapped: certify's tables and the n = 64 solve's lie below
-    # the store's n >= 127 floor, the first n = 128 solve builds and stores
-    # its table, and the second reads it from the store
-    script = (
-        "import contextlib, io, sys\n"
-        "from fracstab import fraccalc\n"
-        "from fracstab.cli import main\n"
-        "def run(*argv):\n"
-        "    fraccalc._cache.clear()\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        return main(list(argv))\n"
-        "codes = [run('certify', sys.argv[1], '--json'), run('solve', sys.argv[1], '--n', '64')]\n"
-        "codes += [run('solve', sys.argv[1], '--n', '128') for _ in range(2)]\n"
-        "(stored, _), = fraccalc._cache.values()\n"
-        "print(codes, type(stored).__name__, 'mmap' in sys.modules)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(PROBLEMS / "example1.json")],
-        capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] _StoredTable False"
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "codes": [0, 0, 0, 0, 0],
+        "estimated": True,
+        "stored": "_StoredTable",
+        "imported": [],
+        "tempfile_from_numpy_only": True,
+    }
+    # one file per table: certify's lambda_phi estimate at n = 256 and the
+    # solves' n = 128 table, written once and read once
+    files = sorted(path.name for path in (tmp_path / "fracstab" / "tables").iterdir())
+    assert [name.split("-")[0] for name in files] == ["128", "256"]
 
 
 def test_solve_reports_estimated_factor(capsys, tmp_path):
@@ -649,10 +624,7 @@ def test_solve_summary_reads_the_constants(capsys, tmp_path, declared):
 def test_weighted_problem_with_huge_initial_datum_exits_two(tmp_path):
     # y_a * (psi(t) - psi(a))**(gamma - 1) overflows next to t = a; the rhs
     # evaluation reports it as one error line, with no numpy warning first
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    env = cli_env()
     doc = json.loads((PROBLEMS / "example1.json").read_text())
     for y_a in (1e308, -1e308):
         path = tmp_path / "huge.json"
@@ -696,10 +668,7 @@ OVERFLOWS = [
 
 @pytest.mark.parametrize("doc,command,code,error", OVERFLOWS)
 def test_overflowing_problems_exit_with_one_error_line(tmp_path, doc, command, code, error):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+    env = cli_env()
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     extra = ["--n", "32"] if command == "solve" else []
@@ -901,7 +870,7 @@ def test_perturb_refuses_its_options_before_any_numeric_work(tmp_path, option, e
     proc = subprocess.run(
         [sys.executable, "-m", "fracstab", "perturb",
          str(PROBLEMS / "example5.json"), "--n", "2048", *option],
-        capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)),
+        capture_output=True, text=True, env=cli_env(XDG_CACHE_HOME=str(tmp_path)),
         timeout=60,
     )
     assert proc.returncode == 2
@@ -1033,7 +1002,7 @@ def test_verify_ops_refuses_an_oversized_n_before_any_table(tmp_path):
     # ran, and filled the store with their tables, before the refusal
     proc = subprocess.run(
         [sys.executable, "-m", "fracstab", "verify-ops", "--n-list", "64,128,256,512,20000"],
-        capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)),
+        capture_output=True, text=True, env=cli_env(XDG_CACHE_HOME=str(tmp_path)),
         timeout=60,
     )
     assert proc.returncode == 2
@@ -1053,7 +1022,7 @@ def test_an_unopenable_output_is_refused_before_any_numeric_work(tmp_path, comma
     target = tmp_path / "missing" / "x.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "fracstab", *command, str(target)],
-        capture_output=True, text=True, env=_cli_env(XDG_CACHE_HOME=str(tmp_path)),
+        capture_output=True, text=True, env=cli_env(XDG_CACHE_HOME=str(tmp_path)),
         timeout=60,
     )
     assert proc.returncode == 2

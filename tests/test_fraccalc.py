@@ -5,7 +5,6 @@ itself never imports.
 """
 
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -33,7 +32,7 @@ from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh, defa
 from fracstab.solver import picard_solve
 from fracstab.specfun import gamma_fn, mittag_leffler_many
 
-from conftest import ROOT, load_example, square_table
+from conftest import cli_env, load_example, square_table
 
 PSI_CASES = [
     (PsiMap("identity"), 0.0, 1.0),
@@ -406,16 +405,21 @@ def test_run_operator_checks_builds_each_table_once(monkeypatch, tmp_path):
     assert calls == {"requests": 192, "builds": 16}
 
 
-def test_tables_are_shared_and_read_only():
+def test_tables_are_shared_and_read_only(monkeypatch):
+    # both meshes have the same offsets, so their operators share one cache
+    # entry per weight
+    monkeypatch.setattr(fraccalc, "_cache", type(fraccalc._cache)())
     ident = build_mesh(PsiMap("identity"), 0.0, 1.0, 48, grading=4.0)
     power = build_mesh(PsiMap("power", rho=2.0), 0.0, 1.0, 48, grading=4.0)
-    ops = FracIntegralOperator(ident, 0.5), FracIntegralOperator(power, 0.5)
     for weight in (0.0, 0.25):
-        first, second = (op._table(weight) for op in ops)
-        assert first is second
-        assert all(block.flags.writeable is False for block in first)
+        for mesh in (ident, power):
+            FracIntegralOperator(mesh, 0.5).apply(GridFunction(mesh, np.ones(49), weight))
+    offsets = ident.offsets.tobytes()
+    assert list(fraccalc._cache) == [(offsets, 0.5, 0.0), (offsets, 0.5, 0.25)]
+    for table, _ in fraccalc._cache.values():
+        assert all(block.flags.writeable is False for block in table)
         with pytest.raises(ValueError):
-            first[0][1, 0] = 0.0
+            table[0][1, 0] = 0.0
 
 
 def _blocked(W: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -483,8 +487,7 @@ def test_blocked_product_keeps_every_bit_on_baseline_simd():
     wide = [f for f in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
     if not wide:
         pytest.skip("numpy dispatches to none of the wide x86 features on this host")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(wide))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = cli_env(NPY_DISABLE_CPU_FEATURES=" ".join(wide))
     proc = subprocess.run([sys.executable, "-c", BLOCKED_PRODUCT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

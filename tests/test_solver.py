@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracstab import fraccalc
 from fracstab.errors import (
     ContractError,
     DomainError,
@@ -193,14 +194,21 @@ def test_solution_reconstruction_consistency():
     np.testing.assert_allclose(sol.y.values[1:], recon, rtol=1e-10)
 
 
-def test_weighted_solve_builds_only_the_weighted_table():
+def test_weighted_solve_builds_only_the_weighted_table(monkeypatch):
     # example 1 has beta < 1, so every apply of the solve sees weighted
-    # data; the plain table would be dead weight and is never built
+    # data; the plain table would be dead weight and is never requested
+    weights = []
+
+    def requested(mesh, alpha, weight_exp):
+        weights.append(weight_exp)
+        return shared(mesh, alpha, weight_exp)
+
+    shared = fraccalc._shared_table
+    monkeypatch.setattr(fraccalc, "_shared_table", requested)
     p = load_example(1).problem
     mesh = _mesh(p, 32)
-    op = FracIntegralOperator(mesh, p.order.alpha)
-    picard_solve(p, mesh, operator=op)
-    assert list(op._tables) == [p.order.weight]
+    picard_solve(p, mesh, operator=FracIntegralOperator(mesh, p.order.alpha))
+    assert weights and set(weights) == {p.order.weight}
 
 
 def test_picard_validation():

@@ -1,5 +1,6 @@
 """Stability constants, comparison-function checks, and the harness."""
 
+import json
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracstab import stability
+from fracstab.cli import main
 from fracstab.errors import (
     CertificationError,
     ContractError,
@@ -168,6 +170,60 @@ def test_constants_are_attained_when_only_the_derivative_slot_acts(l):
         PerturbationSpec(epsilon=1e-2, shape="phi_scaled", trials=1), mesh,
     )
     assert 0.9999 <= weighted.max_ratio <= 1.0
+
+
+# one problem per psi kind with psi(T) - psi(a) = 2; every bundled problem
+# has a span of 1, where span**alpha is 1 whichever way it enters
+SPAN_TWO = {
+    "identity": ({"kind": "identity"}, 0.0, 2.0),
+    "logarithm": ({"kind": "logarithm"}, 1.0, math.exp(2.0)),
+    "power": ({"kind": "power", "rho": 2.0}, 0.0, math.sqrt(2.0)),
+}
+
+
+@pytest.mark.parametrize("kind", SPAN_TWO)
+def test_certificates_with_a_span_of_two_match_their_closed_forms(tmp_path, capsys, kind):
+    psi, a, T = SPAN_TWO[kind]
+    k, l, lam = 0.1, 0.05, 2.0
+    path = tmp_path / "span2.json"
+    path.write_text(json.dumps({
+        "psi": psi, "alpha": 0.5, "beta": 1.0, "a": a, "T": T, "y_a": 1.0,
+        "rhs": "0.1*y + 0.05*d", "lipschitz": {"k": k, "l": l},
+        # I^{1/2} 1 = 2 sqrt(x / pi) <= 1.6 on the span, below the declared 2
+        "phi": "1", "lambda_phi": lam,
+    }))
+    assert main(["certify", str(path), "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["lambda_phi_sound"] is True and info["lambda_phi_used"] == lam
+    with mpmath.workprec(200):
+        alpha, span, k, l = mpmath.mpf(0.5), mpmath.mpf(2), mpmath.mpf(k), mpmath.mpf(l)
+        lead = span**alpha / mpmath.gamma(alpha + 1)
+        z = k / (1 - l) * span**alpha
+        e_alpha = mpmath.nsum(lambda j: z**j / mpmath.gamma(alpha * j + 1), [0, mpmath.inf])
+        want = {
+            "ratio": k * lead / (1 - l),
+            "factor": k * lead + l,
+            "c_f_uh": lead / (1 - l) * e_alpha,
+            "c_f_uhr": lam / ((1 - l) - k * lead),
+        }
+    for key, value in want.items():
+        assert info[key] == pytest.approx(float(value), rel=1e-14), key
+
+
+def test_trial_within_the_allowance_passes_on_its_own_mesh():
+    # k = 0 on a span of 2: the constant forcing reaches the plain bound at
+    # t = T, a ratio within rounding of 1, so the trial passes unrefined
+    p = CauchyProblem(
+        psi=PsiMap("identity"), order=FracOrder(0.5, 1.0), a=0.0, T=2.0, y_a=1.0,
+        rhs=parse_expression("0.5*d"), lipschitz=(0.0, 0.5),
+    )
+    report = perturb_and_check(
+        p, StabilityCertificate.ulam_hyers(p),
+        PerturbationSpec(epsilon=1e-2, shape="constant", trials=1), _mesh_for(p, 128),
+    )
+    (row,) = report.rows
+    assert 1.0 - 1e-6 <= row.ratio <= 1.0
+    assert row.verdict == "pass" and row.refined is False
 
 
 def test_perturbation_spec_validation():

@@ -1,7 +1,6 @@
 """The on-disk table store: hits return the bits of a fresh build, and no
 failure of the store changes what a request prints or returns."""
 
-import gc
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from fracstab import fraccalc
 from fracstab.cli import main
 from fracstab.psi_space import GridFunction, PsiMap, build_mesh
 
-from conftest import PROBLEMS, ROOT, square_table
+from conftest import PROBLEMS, ROOT, cli_env, square_table
 
 
 @pytest.fixture
@@ -32,14 +31,6 @@ def store(monkeypatch, tmp_path):
 
 def _files(store):
     return sorted(p.name for p in store.iterdir()) if store.is_dir() else []
-
-
-def _env(**extra):
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    )
-    return env
 
 
 def _owner(array):
@@ -93,21 +84,28 @@ def test_hit_equals_fresh_build(store, n, weight_exp):
     assert buffers[0].shape == (max((r1 - r0) * r1 for r0, r1 in bounds),)
 
 
-def test_full_square_record_is_a_miss(store):
-    # the layout before row blocks: the same key, then the whole square
+def test_old_npy_file_is_a_miss_and_ages_out(store, monkeypatch):
+    # the container before: one .npy record of the key, zero-padded to 64
+    # bytes, then the row blocks, under the same name with .npy
     n = 130
     mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, n, grading=2.0)
     key = (mesh.offsets.tobytes(), 0.5, 0.0)
-    square = square_table(fraccalc._build_plain_table(mesh, 0.5), n)
-    name, raw, _ = fraccalc._store_entry(key, n)
-    dtype = np.dtype([("key", np.uint8, (len(raw),)), ("table", float, (n + 1, n + 1))])
-    record = np.zeros((), dtype)
-    record["key"] = np.frombuffer(raw, np.uint8)
-    record["table"] = square
+    packed = fraccalc._build_plain_table(mesh, 0.5)
+    square = square_table(packed, n)
+    name, raw = fraccalc._store_entry(key, n)
+    old = store / name.replace(".tbl", ".npy")
+    padded = raw + bytes(-len(raw) % 64)
+    record = np.zeros((), [("key", np.uint8, (len(padded),)), ("table", float, packed.shape)])
+    record["key"] = np.frombuffer(padded, np.uint8)
+    record["table"] = packed
     store.mkdir(parents=True, mode=0o700)
-    np.save(store / name, record)
+    np.save(old, record)
+    os.utime(old, (1, 1))
     assert fraccalc._load_table(key, n) is None
+    # the budget holds the new file but not both, so the write evicts the old one
+    monkeypatch.setattr(fraccalc, "_STORE_BYTES", old.stat().st_size + len(raw) + packed.nbytes - 1)
     table = fraccalc._shared_table(mesh, 0.5, 0.0)
+    assert type(table) is tuple
     assert _files(store) == [name]
     fraccalc._cache.clear()
     loaded = fraccalc._load_table(key, n)
@@ -151,7 +149,8 @@ op = fraccalc.FracIntegralOperator(mesh, 0.5)
 outs = [op.apply(u).values for _ in range(8)]
 rise = peak() - before
 np.save(sys.argv[1], np.array(outs))
-print(isinstance(op._table(0.0), fraccalc._StoredTable), rise)
+(table, _), = fraccalc._cache.values()
+print(isinstance(table, fraccalc._StoredTable), rise)
 """
 
 
@@ -162,7 +161,7 @@ def test_stored_table_keeps_one_block_resident(store, tmp_path):
     fraccalc._shared_table(mesh, 0.5, 0.0)
     assert len(_files(store)) == 1
     outs = tmp_path / "outs.npy"
-    proc = subprocess.run([sys.executable, "-c", RESIDENCY, str(outs)], env=_env(),
+    proc = subprocess.run([sys.executable, "-c", RESIDENCY, str(outs)], env=cli_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     stored, rise = proc.stdout.split()
@@ -208,7 +207,7 @@ def test_only_stored_tables_are_read_on_every_apply(monkeypatch, tmp_path, setup
     u = np.cos(mesh.nodes)
     want = np.einsum("ij,j->i", square_table(fraccalc._build_plain_table(mesh, 0.5), n), u)
     want[0] = 0.0
-    table = op._table(0.0)
+    table = fraccalc._shared_table(mesh, 0.5, 0.0)
     stored = setup is _stored
     assert isinstance(table, fraccalc._StoredTable) is stored
     assert (type(table) is tuple) is not stored
@@ -216,6 +215,7 @@ def test_only_stored_tables_are_read_on_every_apply(monkeypatch, tmp_path, setup
         if stored:
             table._file.seek(0)
         assert np.array_equal(op.apply(GridFunction(mesh, u, 0.0)).values, want)
+        assert fraccalc._cache[mesh.offsets.tobytes(), 0.5, 0.0][0] is table
         if stored:
             assert table._file.tell() == os.fstat(table._file.fileno()).st_size
 
@@ -243,7 +243,7 @@ def test_file_truncated_in_use_fails_the_request_in_one_line(tmp_path):
     # the file between its first and second apply
     argv = ["solve", str(PROBLEMS / "example1.json"), "--n", "512"]
     runs = [subprocess.run([sys.executable, *script, *argv], capture_output=True, text=True,
-                           timeout=120, env=_env(XDG_CACHE_HOME=str(tmp_path)))
+                           timeout=120, env=cli_env(XDG_CACHE_HOME=str(tmp_path)))
             for script in (["-m", "fracstab"], ["-c", TRUNCATED])]
     assert runs[0].returncode == 0, runs[0].stderr
     proc = runs[1]
@@ -260,20 +260,24 @@ def test_dropped_stored_table_closes_its_file(store, monkeypatch):
     fraccalc._cache.clear()
     op = fraccalc.FracIntegralOperator(mesh, 0.5)
     op.apply(GridFunction(mesh, np.ones(mesh.n + 1), 0.0))
-    assert isinstance(op._table(0.0), fraccalc._StoredTable)
-    file = weakref.ref(op._table(0.0)._file)
+    ((table, _),) = fraccalc._cache.values()
+    assert isinstance(table, fraccalc._StoredTable)
+    file = weakref.ref(table._file)
+    del table
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         # with no budget the cache keeps only the newest table, so a second
-        # evicts the first
+        # evicts the first, and the operator, still alive, holds no table
         monkeypatch.setattr(fraccalc, "_CACHE_BYTES", 0)
         fraccalc._shared_table(build_mesh(PsiMap("identity"), 0.0, 1.0, 64), 0.5, 0.0)
         assert len(fraccalc._cache) == 1
-        del op
-        gc.collect()
-    assert file() is None and unraisable == []
+        assert file() is None
+    assert unraisable == []
+    # the operator fetches the table from the store again
+    op.apply(GridFunction(mesh, np.ones(mesh.n + 1), 0.0))
+    assert isinstance(fraccalc._cache[mesh.offsets.tobytes(), 0.5, 0.0][0], fraccalc._StoredTable)
 
 
 COLD_WARM = """
@@ -299,7 +303,7 @@ print("builds", builds, file=sys.stderr)
 
 
 def test_cold_and_warm_runs_print_the_same_bytes(tmp_path):
-    env = _env(XDG_CACHE_HOME=str(tmp_path))
+    env = cli_env(XDG_CACHE_HOME=str(tmp_path))
     runs = [subprocess.run([sys.executable, "-c", COLD_WARM], cwd=ROOT, env=env,
                            capture_output=True, timeout=300) for _ in range(2)]
     for proc in runs:
@@ -326,7 +330,9 @@ def _appended(path):
 
 
 def _wrong_shape(path):
-    np.save(path, np.zeros((3, 3)))
+    # an .npy array in place of the table
+    with open(path, "wb") as f:
+        np.save(f, np.zeros((3, 3)))
 
 
 def _zip_archive(path):
@@ -394,7 +400,7 @@ def test_store_is_private_and_leaves_no_temporary_file(store):
     assert store.stat().st_mode & 0o777 == 0o700
     assert store.parent.stat().st_mode & 0o777 == 0o700
     (name,) = _files(store)
-    assert name.startswith("16-") and name.endswith(".npy")
+    assert name.startswith("16-") and name.endswith(".tbl")
 
 
 def test_disabled_cpu_feature_writes_a_separate_entry(tmp_path):
@@ -407,10 +413,10 @@ def test_disabled_cpu_feature_writes_a_separate_entry(tmp_path):
         pytest.skip("numpy dispatches to no optional CPU feature on this host")
     argv = [sys.executable, "-m", "fracstab", "solve", str(PROBLEMS / "example1.json"), "--n", "128"]
     store = tmp_path / "fracstab" / "tables"
-    proc = subprocess.run(argv, env=_env(XDG_CACHE_HOME=str(tmp_path)), capture_output=True, timeout=120)
+    proc = subprocess.run(argv, env=cli_env(XDG_CACHE_HOME=str(tmp_path)), capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(_files(store)) == 1
-    proc = subprocess.run(argv, capture_output=True, timeout=120, env=_env(
+    proc = subprocess.run(argv, capture_output=True, timeout=120, env=cli_env(
         XDG_CACHE_HOME=str(tmp_path), NPY_DISABLE_CPU_FEATURES=enabled[-1]))
     assert proc.returncode == 0, proc.stderr
     assert len(_files(store)) == 2
@@ -500,7 +506,7 @@ def test_cache_eviction_keeps_bits_and_earlier_operators(monkeypatch):
     fraccalc._shared_table(second, 0.5, 0.0)
     assert len(fraccalc._cache) == 1
     assert held() <= fraccalc._CACHE_BYTES + 8 * (n + 1) ** 2
-    # the operator keeps its own reference to the evicted table
+    # the operator fetches the evicted table again, built anew with its bits
     assert np.array_equal(op.apply(u).values, before)
     assert len(fraccalc._cache) == 1
     again = fraccalc._shared_table(first, 0.5, 0.0)
@@ -523,24 +529,3 @@ def test_eviction_keeps_the_newest_file(store, monkeypatch):
     monkeypatch.setattr(fraccalc, "_STORE_BYTES", 1000)
     fraccalc._shared_table(build_mesh(PsiMap("identity"), 0.0, 1.0, 32), 0.5, 0.0)
     assert _files(store) == [kept]
-
-
-def test_store_imports_neither_hashlib_nor_tempfile(tmp_path):
-    # hashlib pulls in OpenSSL; numpy may import tempfile itself, the store must not
-    script = (
-        "import sys\n"
-        "import numpy\n"
-        "numpy_loads_tempfile = 'tempfile' in sys.modules\n"
-        "from fracstab.cli import main\n"
-        "for _ in range(2):\n"
-        "    main(['solve', sys.argv[1], '--n', '128', '--out', sys.argv[2]])\n"
-        "    sys.modules['fracstab.fraccalc']._cache.clear()\n"
-        "print('hashlib' in sys.modules, ('tempfile' in sys.modules) == numpy_loads_tempfile)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(PROBLEMS / "example1.json"), str(tmp_path / "out.csv")],
-        capture_output=True, text=True, timeout=120, env=_env(XDG_CACHE_HOME=str(tmp_path)),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False True"
-    assert len(_files(tmp_path / "fracstab" / "tables")) == 1

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import ROOT
+from conftest import ROOT, cli_env
 
 SCRIPT = ROOT / "tools" / "outputs_diff.py"
 BASE = {
@@ -97,12 +97,31 @@ def test_bench_tables_compares_peaks_pair_by_pair():
     assert ratios["change_rss_lower"] == "2/3"
 
 
+def test_bench_tables_refuses_a_baseline_outside_git(monkeypatch, tmp_path):
+    # its commit could not be recorded; nothing is measured or written
+    bench_tables = _bench_tables()
+
+    def measured(*args):
+        raise AssertionError("measured a baseline without a commit")
+
+    monkeypatch.setattr(bench_tables, "_run", measured)
+    monkeypatch.setattr(bench_tables, "measure", measured)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    baseline = tmp_path / "parent"
+    baseline.mkdir()
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["bench_tables.py", "--out", str(out), "--baseline", str(baseline)])
+    with pytest.raises(SystemExit) as info:
+        bench_tables.main()
+    assert info.value.code == (f"--baseline {baseline.resolve()} is not a git checkout; "
+                               "make one with `git worktree add DIR COMMIT`")
+    assert not out.exists()
+
 
 def _line_trace(*args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "line_trace.py"), *args],
-        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+        capture_output=True, text=True, timeout=120, env=cli_env(), cwd=ROOT,
     )
 
 

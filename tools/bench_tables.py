@@ -19,8 +19,8 @@ Every number is the median wall time of fresh Python processes:
   and its peak RSS the largest of the 14.
 
 Each entry also records the peak RSS of every sample (``runs_rss_mb``,
-next to ``runs_s``) and their maximum.  With ``--baseline DIR`` (a checkout
-of another commit) both trees are measured on the same host, back to back
+next to ``runs_s``) and their maximum.  With ``--baseline DIR`` (a git
+checkout of another commit, refused otherwise) both trees are measured on the same host, back to back
 per number and in alternating order, and the JSON gains, per number, the
 baseline/change time ratios, each side's median peak RSS and the number of
 pairs in which the change's peak was the lower.  Children run
@@ -212,6 +212,10 @@ def main() -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), "change": ROOT}
+        # the JSON names the baseline by its commit, which only git knows
+        if _sha(trees["baseline"]) == "unknown":
+            raise SystemExit(f"--baseline {trees['baseline']} is not a git checkout; "
+                             "make one with `git worktree add DIR COMMIT`")
     with tempfile.TemporaryDirectory() as scratch:
         _, host, _ = _run(ROOT, [sys.executable, "-c", SIMD], Path(scratch))
         measured = measure(trees, args.repeats, Path(scratch))
