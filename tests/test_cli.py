@@ -538,62 +538,30 @@ def test_certify_estimates_missing_constants(capsys, tmp_path):
     assert info["l"] == pytest.approx(declared["l"], abs=1e-4)
 
 
-# The requests of the test below, in one process: a certify without
-# constants, a certify --json, a solve with --out below the store's n >= 127
-# floor, and two n = 128 solves, the first of which stores its table and
-# the second reads it back.  Each request starts with an empty in-process
-# cache.
-REQUESTS = """
-import contextlib, io, json, sys
-import numpy
-numpy_loads_tempfile = "tempfile" in sys.modules
-from fracstab import fraccalc
-from fracstab.cli import main
-estimated, example1, example5, csv = sys.argv[1:]
-def run(*argv):
-    fraccalc._cache.clear()
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        return main(list(argv)), out.getvalue()
-runs = [run("certify", estimated), run("certify", example5, "--json"),
-        run("solve", example1, "--n", "64", "--out", csv)]
-runs += [run("solve", example1, "--n", "128") for _ in range(2)]
-(stored, _), = fraccalc._cache.values()
-print(json.dumps({
-    "codes": [code for code, _ in runs],
-    "estimated": "(estimated)" in runs[0][1],
-    "stored": type(stored).__name__,
-    "imported": [m for m in ("numpy.ma", "dataclasses", "mmap", "hashlib") if m in sys.modules],
-    "tempfile_from_numpy_only": ("tempfile" in sys.modules) == numpy_loads_tempfile,
-}))
-"""
+def test_estimated_constants_leave_numpy_ma_unimported(guarded_requests):
+    # numpy.ma costs 12-35 ms of import and estimating the constants needs
+    # none of it, so a certify without declared constants never loads it
+    report = guarded_requests["report"]
+    assert report["codes"][0] == 0
+    assert report["estimated"] is True
+    assert "numpy.ma" not in report["imported"]
 
 
-def test_requests_leave_slow_modules_unimported(tmp_path):
-    # none of these modules is needed, and each costs every request:
-    # numpy.ma 12-35 ms of import (estimating constants needs none of it),
-    # dataclasses about 20 ms of generated methods (the records are plain
-    # classes), hashlib 3.6 MB of OpenSSL (the store names files by CRC-32);
-    # mmap would mean a table is mapped, which none is, and tempfile must
-    # come from numpy if at all, never from the store
-    proc = subprocess.run(
-        [sys.executable, "-c", REQUESTS, _without_constants(tmp_path),
-         str(PROBLEMS / "example1.json"), str(PROBLEMS / "example5.json"),
-         str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=cli_env(XDG_CACHE_HOME=str(tmp_path)), timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "codes": [0, 0, 0, 0, 0],
-        "estimated": True,
-        "stored": "_StoredTable",
-        "imported": [],
-        "tempfile_from_numpy_only": True,
-    }
-    # one file per table: certify's lambda_phi estimate at n = 256 and the
-    # solves' n = 128 table, written once and read once
-    files = sorted(path.name for path in (tmp_path / "fracstab" / "tables").iterdir())
-    assert [name.split("-")[0] for name in files] == ["128", "256"]
+def test_requests_leave_dataclasses_unimported(guarded_requests):
+    # the records are plain classes: generating dataclass methods at import
+    # cost each request about 20 ms
+    report = guarded_requests["report"]
+    assert report["codes"][1:3] == [0, 0]
+    assert "dataclasses" not in report["imported"]
+
+
+def test_requests_leave_mmap_unimported(guarded_requests):
+    # no table is mapped: the first n = 128 solve builds and stores its
+    # table, and the second reads it from the store
+    report = guarded_requests["report"]
+    assert report["codes"] == [0, 0, 0, 0, 0]
+    assert report["stored"] == "_StoredTable"
+    assert "mmap" not in report["imported"]
 
 
 def test_solve_reports_estimated_factor(capsys, tmp_path):

@@ -84,6 +84,18 @@ def test_hit_equals_fresh_build(store, n, weight_exp):
     assert buffers[0].shape == (max((r1 - r0) * r1 for r0, r1 in bounds),)
 
 
+def test_store_imports_neither_hashlib_nor_tempfile(guarded_requests):
+    # hashlib pulls in 3.6 MB of OpenSSL (the store names files by CRC-32);
+    # numpy may import tempfile itself, the store must not
+    report = guarded_requests["report"]
+    assert report["codes"][3:] == [0, 0]
+    assert "hashlib" not in report["imported"]
+    assert report["tempfile_from_numpy_only"] is True
+    # one file per table: certify's lambda_phi estimate at n = 256 and the
+    # solves' n = 128 table, written once and read once
+    assert [name.split("-")[0] for name in guarded_requests["store_files"]] == ["128", "256"]
+
+
 def test_old_npy_file_is_a_miss_and_ages_out(store, monkeypatch):
     # the container before: one .npy record of the key, zero-padded to 64
     # bytes, then the row blocks, under the same name with .npy
