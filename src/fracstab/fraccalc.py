@@ -252,7 +252,7 @@ class FracIntegralOperator:
         numpy's own fixed-order sum rather than BLAS, so certificate and
         CSV numbers do not depend on the BLAS build.
         """
-        if not u.mesh.same_as(self.mesh):
+        if u.mesh != self.mesh:
             raise ContractError("grid function lives on a different mesh")
         out = _matvec(_shared_table(self.mesh, self.alpha, u.weight_exp), u.values)
         if u.weight_exp == 0.0:
@@ -799,9 +799,9 @@ def hilfer_derivative(u: GridFunction, order: FracOrder) -> GridFunction:
     """Two-sided composition derivative of order ``(alpha, beta)``.
 
     Accepts plain samples, or data stored with weight ``1 - gamma`` (the
-    inner integral then uses its corrected first cell).  The result is a
-    plain grid function.  This operator is diagnostic: the solver never
-    inverts through it, only the residual helpers do.
+    inner integral then integrates the singular basis on every cell).  The
+    result is a plain grid function.  This operator is diagnostic: the
+    solver never inverts through it, only the residual helpers do.
     """
     inner = (1.0 - order.beta) * (1.0 - order.alpha)
     outer = order.beta * (1.0 - order.alpha)
@@ -935,7 +935,7 @@ def gronwall_bound(v: GridFunction, g: GridFunction, alpha: float) -> GridFuncti
     """
     if v.weight_exp != 0.0 or g.weight_exp != 0.0:
         raise ContractError("gronwall_bound expects plain samples")
-    if not v.mesh.same_as(g.mesh):
+    if v.mesh != g.mesh:
         raise ContractError("v and g live on different meshes")
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")

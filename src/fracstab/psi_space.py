@@ -11,7 +11,6 @@ carry a weight exponent ``w``, in which case the stored numbers are
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -165,7 +164,7 @@ def default_grading(order: FracOrder) -> float:
     return max(1.0, 2.0 / order.alpha)
 
 
-class Mesh(NamedTuple):
+class Mesh(_Frozen):
     """Graded mesh on ``[a, T]``, built in the transformed coordinate.
 
     ``offsets[j] = (psi(T) - psi(a)) * (j/n)**grading`` is the distance
@@ -174,34 +173,55 @@ class Mesh(NamedTuple):
     ``psi_nodes[j] = psi(a) + offsets[j]`` cancels catastrophically next to
     ``a`` when ``psi(a)`` is large.  The physical nodes are the pullbacks.
     ``grading = 1`` is uniform in the transformed coordinate; larger
-    gradings cluster nodes near ``a``.  Build meshes with :func:`build_mesh`,
-    which validates its arguments.
+    gradings cluster nodes near ``a``.  Immutable, with read-only arrays;
+    equal when psi, a, T, n and grading are.
     """
 
-    psi: PsiMap
-    a: float
-    T: float
-    n: int
-    grading: float
-    nodes: np.ndarray
-    psi_nodes: np.ndarray
-    offsets: np.ndarray
+    _args = ("psi", "a", "T", "n", "grading")
+    __slots__ = _args + ("nodes", "psi_nodes", "offsets")
 
-    def __repr__(self):
-        return (
-            f"Mesh(psi={self.psi!r}, a={self.a!r}, T={self.T!r}, n={self.n!r}, "
-            f"grading={self.grading!r})"
-        )
-
-    def same_as(self, other: "Mesh") -> bool:
-        """True when both meshes share nodes (cheap identity-style check)."""
-        return (
-            self.psi == other.psi
-            and self.a == other.a
-            and self.T == other.T
-            and self.n == other.n
-            and self.grading == other.grading
-        )
+    def __init__(self, psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0):
+        a = float(a)
+        T = float(T)
+        if not T > a:
+            raise DomainError(f"build_mesh needs T > a, got a={a!r}, T={T!r}")
+        if not _is_count(n):
+            raise DomainError(f"build_mesh needs an integer n, got {n!r}")
+        n = int(n)
+        if n < 1:
+            raise DomainError(f"build_mesh needs n >= 1, got {n!r}")
+        if not (math.isfinite(grading) and grading >= 1.0):
+            raise DomainError(f"grading must be a finite number >= 1, got {grading!r}")
+        nbytes = (n + 1) ** 2 * 8
+        if nbytes > _TABLE_BYTES_MAX:
+            raise DomainError(
+                f"n = {n} needs {nbytes} bytes per quadrature table, "
+                f"over the {_TABLE_BYTES_MAX} byte ceiling"
+            )
+        xa = psi.value(a)
+        xT = psi.value(T)
+        span = xT - xa
+        if not math.isfinite(span):
+            raise DomainError(f"psi(T) - psi(a) overflows double precision for a={a!r}, T={T!r}")
+        offsets = span * np.power(np.arange(n + 1, dtype=float) / n, grading)
+        offsets[-1] = span
+        if not np.all(np.diff(offsets) > 0.0):
+            raise DomainError(
+                f"grading {grading:g} is too steep for n = {n}: "
+                "the first cells have zero width"
+            )
+        psi_nodes = xa + offsets
+        nodes = np.empty(n + 1, dtype=float)
+        nodes[0] = a
+        nodes[-1] = T
+        if n > 1:
+            nodes[1:-1] = psi.inverse(psi_nodes[1:-1])
+        psi_nodes[0] = xa
+        psi_nodes[-1] = xT
+        for arr in (nodes, psi_nodes, offsets):
+            arr.setflags(write=False)
+        self._set(psi=psi, a=a, T=T, n=n, grading=float(grading),
+                  nodes=nodes, psi_nodes=psi_nodes, offsets=offsets)
 
 
 def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) -> Mesh:
@@ -214,49 +234,7 @@ def build_mesh(psi: PsiMap, a: float, T: float, n: int, grading: float = 1.0) ->
     is allocated.  A grading so steep that the first offsets underflow to
     zero-width cells is refused too.
     """
-    a = float(a)
-    T = float(T)
-    if not T > a:
-        raise DomainError(f"build_mesh needs T > a, got a={a!r}, T={T!r}")
-    if not _is_count(n):
-        raise DomainError(f"build_mesh needs an integer n, got {n!r}")
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"build_mesh needs n >= 1, got {n!r}")
-    if not (math.isfinite(grading) and grading >= 1.0):
-        raise DomainError(f"grading must be a finite number >= 1, got {grading!r}")
-    nbytes = (n + 1) ** 2 * 8
-    if nbytes > _TABLE_BYTES_MAX:
-        raise DomainError(
-            f"n = {n} needs {nbytes} bytes per quadrature table, "
-            f"over the {_TABLE_BYTES_MAX} byte ceiling"
-        )
-    xa = psi.value(a)
-    xT = psi.value(T)
-    span = xT - xa
-    if not math.isfinite(span):
-        raise DomainError(f"psi(T) - psi(a) overflows double precision for a={a!r}, T={T!r}")
-    offsets = span * np.power(np.arange(n + 1, dtype=float) / n, grading)
-    offsets[-1] = span
-    if not np.all(np.diff(offsets) > 0.0):
-        raise DomainError(
-            f"grading {grading:g} is too steep for n = {n}: "
-            "the first cells have zero width"
-        )
-    psi_nodes = xa + offsets
-    nodes = np.empty(n + 1, dtype=float)
-    nodes[0] = a
-    nodes[-1] = T
-    if n > 1:
-        nodes[1:-1] = psi.inverse(psi_nodes[1:-1])
-    psi_nodes[0] = xa
-    psi_nodes[-1] = xT
-    for arr in (nodes, psi_nodes, offsets):
-        arr.setflags(write=False)
-    return Mesh(
-        psi=psi, a=a, T=T, n=n, grading=float(grading),
-        nodes=nodes, psi_nodes=psi_nodes, offsets=offsets,
-    )
+    return Mesh(psi, a, T, n, grading)
 
 
 class GridFunction(_Frozen):

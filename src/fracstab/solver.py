@@ -197,13 +197,13 @@ def picard_solve(
     """Iterate g -> f(t, y[g], g) to a fixed point on the given mesh.
 
     ``forcing`` adds plain nodal values to the right-hand side (the
-    stability harness perturbs problems this way).  ``operator`` lets the
-    caller reuse a prebuilt quadrature table for the mesh.  The seed is one
-    right-hand-side step from the prefactor-only y and g = 0.  Stops when
-    the weighted norm of the correction drops to ``tol``; raises after
-    ``max_iter`` sweeps, carrying the last norm.  The solve reads no
-    Lipschitz constants: the same problem with or without them gives the
-    same iterates.
+    stability harness perturbs problems this way).  ``operator``, if given,
+    must be built for this mesh and order; it holds no table, as every apply
+    reads the shared cache.  The seed is one right-hand-side step from the
+    prefactor-only y and g = 0.  Stops when the weighted norm of the
+    correction drops to ``tol``; raises after ``max_iter`` sweeps, carrying
+    the last norm.  The solve reads no Lipschitz constants: the same problem
+    with or without them gives the same iterates.
     """
     _check_mesh(p, mesh)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -219,7 +219,7 @@ def picard_solve(
         if not np.all(np.isfinite(forcing)):
             raise ContractError("forcing values must all be finite")
     op = operator if operator is not None else FracIntegralOperator(mesh, p.order.alpha)
-    if op.mesh is not mesh and not op.mesh.same_as(mesh):
+    if op.mesh != mesh:
         raise ContractError("operator was built for a different mesh")
     if abs(op.alpha - p.order.alpha) > 1e-14:
         raise ContractError("operator order does not match the problem")

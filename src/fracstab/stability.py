@@ -146,7 +146,7 @@ def estimate_lambda_phi(
     The max of the integral-to-function ratio over the nodes past a.  That
     is a lower estimate of the true coefficient, which bounds the ratio
     between the nodes too, so a certificate built from it can be slightly
-    too small.
+    too small.  ``operator`` is as in ``picard_solve``.
     """
     vals = _phi_values(phi, mesh)
     op = operator if operator is not None else FracIntegralOperator(mesh, p.order.alpha)
@@ -307,7 +307,8 @@ def perturb_and_check(
     interpolated in the transformed coordinate and clipped back into the
     envelope.  A trial whose solve breaks down on either mesh, or whose
     doubled level (tried once per call) cannot be built, is marked "error"
-    and fails the report.
+    and fails the report.  ``operator`` is as in ``picard_solve``; it serves
+    the given mesh only, and the doubled level builds its own.
     """
     spec.check_shape(cert.phi)
 

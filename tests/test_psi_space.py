@@ -148,7 +148,7 @@ def test_build_mesh_refuses_a_non_integer_n(n):
 
 def test_build_mesh_takes_a_numpy_integer_n():
     mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, np.int32(8))
-    assert type(mesh.n) is int and mesh.same_as(build_mesh(PsiMap("identity"), 0.0, 1.0, 8))
+    assert type(mesh.n) is int and mesh == build_mesh(PsiMap("identity"), 0.0, 1.0, 8)
 
 
 def test_build_mesh_refuses_zero_width_cells():
@@ -164,8 +164,8 @@ def test_mesh_same_as():
     m1 = build_mesh(PsiMap("identity"), 0.0, 1.0, 8, grading=2.0)
     m2 = build_mesh(PsiMap("identity"), 0.0, 1.0, 8, grading=2.0)
     m3 = build_mesh(PsiMap("identity"), 0.0, 1.0, 16, grading=2.0)
-    assert m1.same_as(m2)
-    assert not m1.same_as(m3)
+    assert m1 == m2
+    assert not m1 == m3 and m1 != m3
 
 
 def test_grid_function_validation():

@@ -11,7 +11,7 @@ import pytest
 from fracstab.cli import ProblemFile
 from fracstab.errors import DomainError, FracstabError
 from fracstab.fraccalc import OperatorCheckReport, OperatorCheckRow
-from fracstab.psi_space import FracOrder, GridFunction, PsiMap, build_mesh
+from fracstab.psi_space import FracOrder, GridFunction, Mesh, PsiMap, build_mesh
 from fracstab.rhs_expr import BinOp, Call, Neg, Num, Var, parse_expression
 from fracstab.solver import CauchyProblem, Solution, UniquenessCertificate
 from fracstab.stability import (
@@ -117,6 +117,7 @@ def test_with_lipschitz_checks_the_constants_again():
 VALIDATED = {
     "PsiMap(kind='identity', rho=1.0)": _PSI,
     "FracOrder(alpha=0.5, beta=0.5)": FracOrder(alpha=0.5, beta=0.5),
+    "Mesh(psi=PsiMap(kind='identity', rho=1.0), a=0.0, T=1.0, n=4, grading=1.0)": _MESH,
     "GridFunction(mesh=Mesh(psi=PsiMap(kind='identity', rho=1.0), a=0.0, T=1.0, "
     "n=4, grading=1.0), weight_exp=0.0)": _U,
     "CauchyProblem(psi=PsiMap(kind='identity', rho=1.0), "
@@ -151,8 +152,8 @@ def test_validated_record_rebuilds_from_its_arguments(record):
 
 @pytest.mark.parametrize(
     "record,field,bad",
-    [(_PSI, "kind", "spline"), (FracOrder(0.5, 0.5), "alpha", 2.0), (_U, "weight_exp", 1.0),
-     (_PROBLEM, "y_a", math.inf), (PerturbationSpec(0.1), "epsilon", -0.1)],
+    [(_PSI, "kind", "spline"), (FracOrder(0.5, 0.5), "alpha", 2.0), (_MESH, "grading", 0.5),
+     (_U, "weight_exp", 1.0), (_PROBLEM, "y_a", math.inf), (PerturbationSpec(0.1), "epsilon", -0.1)],
     ids=_VALIDATED_IDS,
 )
 def test_copies_run_the_constructor_checks_again(record, field, bad):
@@ -164,7 +165,7 @@ def test_copies_run_the_constructor_checks_again(record, field, bad):
 
 
 def test_validated_records_share_one_frozen_protocol():
-    for cls in (PsiMap, FracOrder, GridFunction, CauchyProblem, PerturbationSpec):
+    for cls in (PsiMap, FracOrder, Mesh, GridFunction, CauchyProblem, PerturbationSpec):
         own = {"__setattr__", "__delattr__", "__reduce__"} & set(vars(cls))
         assert not own, f"{cls.__name__} defines {sorted(own)}"
 
@@ -195,3 +196,40 @@ def test_perturbation_counts_must_be_integers(field, value):
 def test_perturbation_counts_may_be_numpy_integers():
     spec = PerturbationSpec(0.1, trials=np.int64(3), seed=np.uint32(7))
     assert spec == PerturbationSpec(0.1, trials=3, seed=7)
+
+
+def test_meshes_compare_and_hash_by_their_arguments():
+    same = build_mesh(PsiMap("identity"), 0, 1, np.int64(4), grading=1)
+    assert same == _MESH and not same != _MESH and hash(same) == hash(_MESH)
+    assert len({same, _MESH}) == 1
+    assert _MESH != build_mesh(_PSI, 0.0, 1.0, 8)
+    assert _MESH != build_mesh(_PSI, 0.0, 1.0, 4, grading=2.0)
+    assert _MESH != build_mesh(PsiMap("power", 2.0), 0.0, 1.0, 4)
+    assert _MESH != (_PSI, 0.0, 1.0, 4, 1.0)
+
+
+def test_mesh_copies_rebuild_read_only_arrays_with_the_same_bits():
+    mesh = build_mesh(PsiMap("logarithm"), 1.0, math.e, 16, grading=2.5)
+    for twin in (copy.copy(mesh), copy.deepcopy(mesh), pickle.loads(pickle.dumps(mesh))):
+        assert twin == mesh
+        for name in ("nodes", "psi_nodes", "offsets"):
+            array = getattr(twin, name)
+            assert array.flags.writeable is False
+            assert array.tobytes() == getattr(mesh, name).tobytes()
+
+
+_BAD_MESHES = [
+    (_PSI, 1.0, 1.0, 4, 1.0), (_PSI, 0.0, 1.0, 2.5, 1.0), (_PSI, 0.0, 1.0, True, 1.0),
+    (_PSI, 0.0, 1.0, 0, 1.0), (_PSI, 0.0, 1.0, 4, 0.5), (_PSI, 0.0, 1.0, 4, math.nan),
+    (_PSI, 0.0, 1.0, 20000, 1.0), (PsiMap("logarithm"), 0.0, 1.0, 4, 1.0),
+    (_PSI, -1e308, 1e308, 8, 1.0), (PsiMap("logarithm"), 1.0, math.e, 256, 300.0),
+]
+
+
+@pytest.mark.parametrize("args", _BAD_MESHES, ids=range(len(_BAD_MESHES)))
+def test_mesh_refuses_what_build_mesh_refuses(args):
+    with pytest.raises(DomainError) as built:
+        build_mesh(*args)
+    with pytest.raises(DomainError) as direct:
+        Mesh(*args)
+    assert str(direct.value) == str(built.value)

@@ -311,3 +311,60 @@ def test_scaling_the_initial_datum_scales_the_solution(beta):
     # linear and homogeneous: only the Picard stopping tolerance separates them
     want = 3.0 * _metamorphic_y(beta, "0.5*y + 0.1*d")
     assert _relative(_metamorphic_y(beta, "0.5*y + 0.1*d", y_a=3.0), want) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_weighted_limit_at_a_is_the_linear_extrapolation(beta):
+    # rhs 1 stores g = x**w past a; node 0 holds the line through nodes 1
+    # and 2 at x = 0, which lies between 0 and g[1] since x**w is concave
+    p = _problem("1", beta=beta)
+    w = p.order.weight
+    for mesh in (build_mesh(p.psi, 0.0, 1.0, 2), build_mesh(p.psi, 0.0, 1.0, 8), _mesh(p, 256)):
+        g = picard_solve(p, mesh).g.values
+        np.testing.assert_allclose(g[1:], mesh.offsets[1:] ** w, rtol=1e-15)
+        assert 0.0 < g[0] < g[1]
+        if mesh.grading == 1.0:
+            assert g[0] == pytest.approx(2.0 * g[1] - g[2], rel=1e-12)
+
+
+def test_one_sweep_that_does_not_converge_is_not_a_domain_error():
+    p = _problem("0.5*y", beta=0.0)
+    with pytest.raises(NonConvergenceError) as info:
+        picard_solve(p, _mesh(p, 64), max_iter=1)
+    assert info.value.iterations == 1
+
+
+def test_solve_converging_on_its_last_allowed_sweep():
+    p = _problem("0.5*y", beta=0.0)
+    mesh = build_mesh(p.psi, 0.0, 1.0, 64, grading=4.0)
+    assert picard_solve(p, mesh).iterations == 18
+    assert picard_solve(p, mesh, max_iter=18).iterations == 18
+    with pytest.raises(NonConvergenceError):
+        picard_solve(p, mesh, max_iter=17)
+
+
+def test_an_update_equal_to_the_tolerance_converges():
+    p = _problem("0.5*y", beta=0.0)
+    mesh = _mesh(p, 64)
+    norms = picard_solve(p, mesh).update_norms
+    assert picard_solve(p, mesh, tol=norms[5]).iterations == 6
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0])
+def test_forcing_adds_to_the_rhs(beta):
+    forced = _problem("1", beta=beta)
+    mesh = _mesh(forced, 16)
+    sol = picard_solve(forced, mesh, forcing=np.ones(17))
+    same = picard_solve(_problem("2", beta=beta), mesh)
+    np.testing.assert_array_equal(sol.g.values, same.g.values)
+    np.testing.assert_array_equal(sol.y.values, same.y.values)
+
+
+def test_operator_orders_within_1e_14_match():
+    # 2e-14 - 1e-14 is exactly 1e-14, the largest mismatch accepted
+    p = _problem("0.5*y", alpha=1e-14)
+    mesh = build_mesh(p.psi, 0.0, 1.0, 8)
+    sol = picard_solve(p, mesh, operator=FracIntegralOperator(mesh, 2e-14))
+    np.testing.assert_allclose(sol.y.values[1:], 2.0, rtol=1e-9)
+    with pytest.raises(ContractError, match="operator order does not match"):
+        picard_solve(p, mesh, operator=FracIntegralOperator(mesh, np.nextafter(2e-14, 1.0)))

@@ -116,6 +116,22 @@ def test_lambda_phi_in_force_without_a_declared_value():
     assert lambda_phi_in_force(pf.problem, pf.phi, None, mesh) == (lam_hat, lam_hat, None)
 
 
+def test_declared_lambda_phi_within_the_slack_is_sound():
+    # a declared value up to 1e-12 below the mesh estimate is used and sound,
+    # also at the tie where declared + 1e-12 rounds to the estimate itself
+    pf = load_example(5)
+    mesh = _mesh_for(pf.problem, 256)
+    lam_hat = estimate_lambda_phi(pf.problem, pf.phi, mesh)
+    tie = lam_hat - 1e-12
+    while tie + 1e-12 > lam_hat:
+        tie = np.nextafter(tie, -np.inf)
+    while tie + 1e-12 < lam_hat:
+        tie = np.nextafter(tie, np.inf)
+    assert tie + 1e-12 == lam_hat
+    for declared in (lam_hat, lam_hat - 5e-13, float(tie)):
+        assert lambda_phi_in_force(pf.problem, pf.phi, declared, mesh) == (lam_hat, declared, True)
+
+
 def test_phi_validation():
     pf = load_example(5)
     mesh = _mesh_for(pf.problem, 32)
@@ -123,6 +139,8 @@ def test_phi_validation():
         estimate_lambda_phi(pf.problem, parse_expression("0 - 1"), mesh)
     with pytest.raises(DomainError):
         estimate_lambda_phi(pf.problem, parse_expression("2 - t"), mesh)
+    with pytest.raises(DomainError, match="must be positive past t = a"):
+        estimate_lambda_phi(pf.problem, parse_expression("0*t"), mesh)
     with pytest.raises(ContractError):
         estimate_lambda_phi(pf.problem, parse_expression("y + 1"), mesh)
 
@@ -133,6 +151,35 @@ def test_decreasing_phi_is_refused():
     mesh = _mesh_for(pf.problem, 32)
     with pytest.raises(DomainError, match="must be nondecreasing"):
         estimate_lambda_phi(pf.problem, parse_expression("3 - t"), mesh)
+
+
+def test_phi_slack_scales_with_its_size():
+    # a fall of 1e-7 is rounding-level for values near 1e6 (slack 1e-6)
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 8)
+    vals = stability._phi_values(parse_expression("1e6 - 1e-7*t"), mesh)
+    assert np.all(np.diff(vals) < 0.0)
+
+
+def test_phi_step_of_exactly_the_slack_is_accepted():
+    # on the one-cell mesh phi falls by s = 5000 ulps of 1 from M, and
+    # 1e-12 * M rounds to s itself, so the fall equals the slack
+    s = 5000 * 2.0**-52
+    M = 1.1102230246251565
+    assert 1e-12 * M == s
+    mesh = build_mesh(PsiMap("identity"), 0.0, 1.0, 1)
+    vals = stability._phi_values(parse_expression(f"{M!r} - {s!r}*t"), mesh)
+    assert vals[1] - vals[0] == -s
+    with pytest.raises(DomainError, match="must be nondecreasing"):
+        stability._phi_values(parse_expression(f"{M!r} - {2 * s!r}*t"), mesh)
+
+
+def test_smooth_noise_averages_neighbours():
+    raw = np.random.default_rng(7).uniform(-1.0, 1.0, 6)
+    out = stability._smooth_noise(np.random.default_rng(7), 6)
+    want = [(raw[0] + raw[1]) / 2, *((raw[:-2] + raw[1:-1] + raw[2:]) / 3),
+            (raw[-2] + raw[-1]) / 2]
+    np.testing.assert_array_equal(out, want)
+    assert np.all(np.abs(out) <= 1.0)
 
 
 def test_certificates_and_bounds():
@@ -223,6 +270,29 @@ def test_trial_within_the_allowance_passes_on_its_own_mesh():
     )
     (row,) = report.rows
     assert 1.0 - 1e-6 <= row.ratio <= 1.0
+    assert row.verdict == "pass" and row.refined is False
+
+
+def test_trial_ratio_at_the_allowance_passes_unrefined():
+    # the constant trial above, with c_f chosen so its ratio rounds to
+    # exactly 1 + allowance: it passes on its own mesh
+    p = CauchyProblem(
+        psi=PsiMap("identity"), order=FracOrder(0.5, 1.0), a=0.0, T=2.0, y_a=1.0,
+        rhs=parse_expression("0.5*d"), lipschitz=(0.0, 0.5),
+    )
+    spec = PerturbationSpec(epsilon=1e-2, shape="constant", trials=1)
+    mesh = _mesh_for(p, 128)
+    cert = StabilityCertificate.ulam_hyers(p)
+    (row,) = perturb_and_check(p, cert, spec, mesh).rows
+    edge = 1.0 + stability._ALLOWANCE
+    c_f = row.deviation / (spec.epsilon * edge)
+    for _ in range(64):
+        ratio = row.deviation / (c_f * spec.epsilon)
+        if ratio == edge:
+            break
+        c_f = float(np.nextafter(c_f, np.inf if ratio > edge else -np.inf))
+    (row,) = perturb_and_check(p, StabilityCertificate(c_f=c_f), spec, mesh).rows
+    assert row.ratio == edge
     assert row.verdict == "pass" and row.refined is False
 
 

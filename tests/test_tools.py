@@ -195,3 +195,51 @@ def test_bench_tables_times_the_import_and_the_small_requests():
         ["certify", "problems/example1.json", "--json"],
         ["solve", "problems/example1.json", "--n", "256"],
     ]
+
+
+def test_mutants_flip_one_operator_in_the_named_functions():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    source = (
+        "def f(a, b):  # λ\n"
+        "    c = (a) * b ** 2  # a + b\n"
+        "    c += a // b\n"
+        "    return 0.0 < a - b <= c\n"
+        "\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        return x / 2 > 1 >= x\n"
+        "\n"
+        "def g(a):\n"
+        "    return a + 1 < 2\n"
+    )
+    out = mutants.mutants(source, ("f", "K.m"))
+    assert [(m.function, m.line, m.old, m.new, m.expression) for m in out] == [
+        ("f", 2, "*", "/", "(a) * b ** 2"),
+        ("f", 3, "+=", "-=", "c += a // b"),
+        ("f", 4, "<", "<=", "0.0 < a - b <= c"),
+        ("f", 4, "<=", "<", "0.0 < a - b <= c"),
+        ("f", 4, "-", "+", "a - b"),
+        ("K.m", 8, ">", ">=", "x / 2 > 1 >= x"),
+        ("K.m", 8, ">=", ">", "x / 2 > 1 >= x"),
+        ("K.m", 8, "/", "*", "x / 2"),
+    ]
+    # each mutant changes its one line, and only there
+    assert [m.source.splitlines()[m.line - 1] for m in out] == [
+        "    c = (a) / b ** 2  # a + b",
+        "    c -= a // b",
+        "    return 0.0 <= a - b <= c",
+        "    return 0.0 < a - b < c",
+        "    return 0.0 < a + b <= c",
+        "        return x / 2 >= 1 >= x",
+        "        return x / 2 > 1 > x",
+        "        return x * 2 > 1 >= x",
+    ]
+    lines = source.splitlines()
+    for m in out:
+        kept = [k for k, (old, new) in enumerate(zip(lines, m.source.splitlines()), 1)
+                if old == new]
+        assert len(kept) == len(lines) - 1 and m.line not in kept
+    with pytest.raises(LookupError):
+        mutants.mutants(source, ("h",))
