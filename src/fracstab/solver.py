@@ -228,7 +228,7 @@ def picard_solve(
     w = p.order.weight
     t = mesh.nodes
     dxw = np.power(mesh.offsets, w)  # 0**0 == 1 covers the gamma == 1 case
-    dxg = np.power(mesh.offsets[1:], gamma - 1.0) if w > 0.0 else None
+    dxg = np.power(mesh.offsets[1:], gamma - 1.0)  # read only when w > 0
     pref = p.y_a / gamma_fn(gamma)
 
     def rhs_step(y_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:

@@ -213,8 +213,12 @@ def test_mutants_flip_one_operator_in_the_named_functions():
         "\n"
         "def g(a):\n"
         "    return a + 1 < 2\n"
+        "\n"
+        "def e(a, b):\n"
+        "    return (a\n"
+        "            / (2.0 * b))\n"
     )
-    out = mutants.mutants(source, ("f", "K.m"))
+    out = mutants.mutants(source, ("f", "K.m", "e"))
     assert [(m.function, m.line, m.old, m.new, m.expression) for m in out] == [
         ("f", 2, "*", "/", "(a) * b ** 2"),
         ("f", 3, "+=", "-=", "c += a // b"),
@@ -224,6 +228,8 @@ def test_mutants_flip_one_operator_in_the_named_functions():
         ("K.m", 8, ">", ">=", "x / 2 > 1 >= x"),
         ("K.m", 8, ">=", ">", "x / 2 > 1 >= x"),
         ("K.m", 8, "/", "*", "x / 2"),
+        ("e", 15, "/", "*", "a / (2.0 * b)"),  # the operator's line, not its left operand's
+        ("e", 15, "*", "/", "2.0 * b"),
     ]
     # each mutant changes its one line, and only there
     assert [m.source.splitlines()[m.line - 1] for m in out] == [
@@ -235,6 +241,8 @@ def test_mutants_flip_one_operator_in_the_named_functions():
         "        return x / 2 >= 1 >= x",
         "        return x / 2 > 1 > x",
         "        return x * 2 > 1 >= x",
+        "            * (2.0 * b))",
+        "            / (2.0 / b))",
     ]
     lines = source.splitlines()
     for m in out:

@@ -1,32 +1,29 @@
 """Operator mutation audit of the certificate path.
 
-    python3 tools/mutants.py [TESTS ...]
+    python3 tools/mutants.py
 
 Each mutant flips one operator in one of the functions of ``TARGETS``:
 ``+`` and ``-``, ``*`` and ``/``, ``<`` and ``<=``, ``>`` and ``>=`` (also in
 augmented assignments such as ``+=``).  For every mutant the script writes
 the mutated module into a temporary copy of the tree (``src/`` itself is
-never touched) and runs one pytest selection there, ``TESTS`` (by default
-the four test files of ``SELECTION``), with ``-x`` and a timeout of
-``TIMEOUT`` seconds.  A mutant that fails the selection or runs out of
-time is killed.
+never touched) and runs the four test files of ``SELECTION`` there, with
+``-x`` and a timeout of ``TIMEOUT`` seconds.  A mutant that fails the
+selection or runs out of time is killed.
 
 Then it prints each survivor as ``file:line:operator`` with its
-expression, and exits 1 when a survivor is not on the allow list,
-``tools/mutants_allow.json``.  That list names equivalent mutants, each
-with the reason why no output can tell it apart; an entry that matches no
-survivor is reported too.
+expression, and exits 1 if any mutant survived.  There is no allow list:
+a survivor is killed by a new test, or the code it mutates is deleted
+when no output depends on it.
 
 The full audit runs one pytest session per mutant, about three minutes
-for its 75 mutants on a 2-vCPU x86_64 VM, so it is run by hand, never by
+for its 74 mutants on a 2-vCPU x86_64 VM, so it is run by hand, never by
 the test suite.  Standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
+import bisect
 import os
 import re
 import shutil
@@ -50,7 +47,6 @@ TARGETS = {
 }
 SELECTION = ("tests/test_stability.py", "tests/test_solver.py", "tests/test_cli.py",
              "tests/test_acceptance.py")
-ALLOW = ROOT / "tools" / "mutants_allow.json"
 #: Seconds one run of the selection may take before its mutant counts as killed.
 TIMEOUT = 600.0
 
@@ -129,20 +125,10 @@ def mutants(source: str, functions) -> list[Mutant]:
                 at = lo + hits[0]
                 text = (data[:at] + new.encode() + data[at + len(op):]).decode()
                 expression = " ".join(ast.get_source_segment(source, node).split())
-                out.append(Mutant(name, left.end_lineno, op, new, expression, text))
+                line = bisect.bisect_right(starts, at)
+                out.append(Mutant(name, line, op, new, expression, text))
     out.sort(key=lambda m: m.line)
     return out
-
-
-def _allowed() -> dict[tuple, str]:
-    """The allow list: (file, function, expression, mutation) -> reason."""
-    allowed = {}
-    for entry in json.loads(ALLOW.read_text(encoding="utf-8")):
-        if not str(entry.get("reason", "")).strip():
-            raise ValueError(f"{ALLOW}: entry without a reason: {entry}")
-        key = (entry["file"], entry["function"], entry["expression"], entry["mutation"])
-        allowed[key] = entry["reason"]
-    return allowed
 
 
 def _pytest(tree: Path, tests: list[str]) -> str:
@@ -161,13 +147,7 @@ def _pytest(tree: Path, tests: list[str]) -> str:
     raise SystemExit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("tests", nargs="*", default=list(SELECTION),
-                        help="pytest selection run against every mutant")
-    args = parser.parse_args(argv)
-
-    allowed = _allowed()
+def main() -> int:
     plan = [(file, m) for file, names in TARGETS.items()
             for m in mutants((ROOT / PACKAGE / file).read_text(encoding="utf-8"), names)]
     survivors = []
@@ -175,14 +155,14 @@ def main(argv: list[str] | None = None) -> int:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
-        if _pytest(tree, args.tests) != "passed":
+        if _pytest(tree, list(SELECTION)) != "passed":
             raise SystemExit("the selection fails on the unmutated tree")
         for k, (file, m) in enumerate(plan, 1):
             path = tree / PACKAGE / file
             original = path.read_text(encoding="utf-8")
             path.write_text(m.source, encoding="utf-8")
             try:
-                verdict = _pytest(tree, args.tests)
+                verdict = _pytest(tree, list(SELECTION))
             finally:
                 path.write_text(original, encoding="utf-8")
             print(f"[{k}/{len(plan)}] {file}:{m.line}:{m.old}->{m.new} {verdict}",
@@ -190,20 +170,11 @@ def main(argv: list[str] | None = None) -> int:
             if verdict == "passed":
                 survivors.append((file, m))
 
-    unexplained = 0
-    matched = set()
     for file, m in survivors:
-        key = (file, m.function, m.expression, f"{m.old} -> {m.new}")
-        reason = allowed.get(key)
-        matched.add(key)
-        tag = f"allowed: {reason}" if reason else "survived"
-        unexplained += reason is None
-        print(f"{PACKAGE / file}:{m.line}:{m.old}->{m.new}  {m.function}: {m.expression}  [{tag}]")
-    for key in allowed.keys() - matched:
-        print(f"allow list entry matched no survivor: {key}")
+        print(f"{PACKAGE / file}:{m.line}:{m.old}->{m.new}  {m.function}: {m.expression}")
     print(f"{len(plan)} mutants, {len(plan) - len(survivors)} killed, "
-          f"{len(survivors) - unexplained} allowed, {unexplained} survived")
-    return 1 if unexplained else 0
+          f"{len(survivors)} survived")
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":
